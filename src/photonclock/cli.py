@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical integrity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conditional import (
+    MIN_PANELS,
     ConditionalQuery,
     MeasurementKind,
     QuadratureSpec,
@@ -46,7 +48,7 @@ X_STAR_EXPECTED = math.pi / 8.0
 @dataclass(frozen=True)
 class RunConfig:
     omega: float = 1.0
-    panels: int = 4096
+    panels: int = QuadratureSpec().panels
     grid_n: int = 41
     x_min: float = 0.0
     x_max: float = math.pi
@@ -57,8 +59,6 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("omega must be finite and positive")
-        if self.panels <= 0 or self.panels % 2 != 0:
-            raise ValueError("panels must be a positive even integer")
         if self.grid_n < 2:
             raise ValueError("grid-n must be at least 2")
         if self.x_steps < 1:
@@ -335,34 +335,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        omega=getattr(args, "omega", 1.0),
-        panels=getattr(args, "panels", 4096),
-        grid_n=getattr(args, "grid_n", 41),
-        x_min=getattr(args, "x_min", 0.0),
-        x_max=getattr(args, "x_max", math.pi),
-        x_steps=getattr(args, "x_steps", 1024),
-        output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
-    )
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    return RunConfig(**{name: value for name, value in vars(args).items() if name in fields})
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--omega", type=float, default=1.0, help="clock angular frequency")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
+    common.add_argument("--out", dest="output_path", metavar="OUT", default=RunConfig.output_path,
+                        help="output file (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default=RunConfig.format)
 
     quad = _Parser(add_help=False)
-    quad.add_argument("--panels", type=int, default=4096, help="Simpson panels per period")
+    quad.add_argument("--panels", type=int, default=RunConfig.panels,
+                      help=f"periodic-trapezoid nodes per period: even, at least {MIN_PANELS}, "
+                           f"exact from {MIN_PANELS} on (default {RunConfig.panels})")
 
     grid = _Parser(add_help=False)
-    grid.add_argument("--grid-n", type=int, default=41, help="sharpness grid points per axis")
+    grid.add_argument("--grid-n", type=int, default=RunConfig.grid_n, help="sharpness grid points per axis")
 
     window = _Parser(add_help=False)
-    window.add_argument("--x-min", type=float, default=0.0)
-    window.add_argument("--x-max", type=float, default=math.pi)
-    window.add_argument("--x-steps", type=int, default=1024)
+    window.add_argument("--x-min", type=float, default=RunConfig.x_min)
+    window.add_argument("--x-max", type=float, default=RunConfig.x_max)
+    window.add_argument("--x-steps", type=int, default=RunConfig.x_steps)
 
     parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

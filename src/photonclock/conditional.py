@@ -3,11 +3,11 @@
 Two preparations are compared. The stationary state is the one-period
 amplitude average of the evolving product pair: the polarization singlet
 (|HV> - |VH>)/sqrt(2), annihilated by the global generator. The evolving
-("time dependent") preparation is the product pair itself, and its
-statistics are averaged over one full period.
+("time dependent") preparation is the product pair itself; averaged over one
+full period it is the mixed state rho_bar, the mean of its projectors.
 
-The headline quantity is P(V on system | H on clock). Closed forms, with
-clock and system sharpness lambda_c, lambda_r:
+The headline quantity is P(V on system | H on clock) = Tr[E rho] / Tr[E_c rho].
+Closed forms, with clock and system sharpness lambda_c, lambda_r:
 
     stationary, sharp        : 1
     time dependent, sharp    : 3/4
@@ -15,8 +15,10 @@ clock and system sharpness lambda_c, lambda_r:
     time dependent, unsharp  : (2 + lambda_c*lambda_r)/4
 
 so entanglement buys exactly lambda_c*lambda_r/4. All period integrals are
-evaluated in the phase variable theta = omega*t (composite Simpson over
-[0, 2*pi]), which makes every result independent of omega bit for bit.
+evaluated in the phase variable theta = omega*t with the periodic trapezoid
+rule, which makes every result independent of omega bit for bit. The
+integrands are trigonometric polynomials of degree <= 4 in theta, so the
+rule is exact once it has more than 4 nodes.
 """
 
 from __future__ import annotations
@@ -34,17 +36,19 @@ from .measurement import SHARP, Outcome, SharpnessPair, joint_effect, unsharp_ef
 from .qstate import projector, tensor_product, trace_of_product
 
 DEGENERATE_DENOMINATOR = 1e-14
+MIN_PANELS = 6  # smallest even node count above the integrand degree 4
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Simpson rule over one full period; panels must be even."""
+    """Periodic trapezoid rule over one full period: the plain mean over
+    `panels` equally spaced phase nodes. Even, and at least MIN_PANELS."""
 
-    panels: int = 4096
+    panels: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.panels, int) and self.panels > 0 and self.panels % 2 == 0):
-            raise ValueError("panels must be a positive even integer")
+        if not (isinstance(self.panels, int) and self.panels >= MIN_PANELS and self.panels % 2 == 0):
+            raise ValueError(f"panels must be an even integer >= {MIN_PANELS}")
 
 
 class StateKind(enum.Enum):
@@ -58,8 +62,9 @@ class MeasurementKind(enum.Enum):
 
 
 class Formalism(enum.Enum):
-    """Two routes to the same number: amplitude inner products, or density
-    matrices with the trace rule. They must agree; tests enforce it."""
+    """Two routes to the same number: the mean of amplitude expectations
+    over the preparation's members, or the trace rule against its averaged
+    density matrix. They must agree; tests enforce it."""
 
     AMPLITUDE = "amplitude"
     DENSITY_MATRIX = "density_matrix"
@@ -80,50 +85,41 @@ class ConditionalQuery:
         return SHARP if self.measurement_kind is MeasurementKind.SHARP else self.sharpness
 
 
-def _simpson_integral(values: np.ndarray, dx: float) -> np.ndarray:
-    n = values.shape[0] - 1
-    if n <= 0 or n % 2 != 0:
-        raise ValueError("Simpson rule needs an even number of panels")
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return (dx / 3.0) * np.tensordot(weights, values, axes=(0, 0))
+def _phase_nodes(panels: int) -> np.ndarray:
+    """2*pi*k/panels for k = 0 .. panels-1; the endpoint repeats the start."""
+    return 2.0 * math.pi * np.arange(panels) / panels
 
 
 def period_average(f, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """(omega / 2 pi) * integral of f(t) over one period [0, 2 pi / omega].
+    """(omega / 2 pi) * integral of f(t) over one period [0, 2 pi / omega).
 
     f may be vectorized over a time array; plain scalar callables work too.
     """
-    ts = np.linspace(0.0, spec.period, quad.panels + 1)
+    if not math.isfinite(spec.period):
+        raise ValueError(f"period 2*pi/omega = {spec.period!r} overflows at omega = {spec.omega!r}")
+    ts = _phase_nodes(quad.panels) / spec.omega
     try:
         ys = np.asarray(f(ts), dtype=float)
         if ys.shape != ts.shape:
             raise TypeError
     except TypeError:
         ys = np.asarray([float(f(t)) for t in ts])
-    return float(_simpson_integral(ys, spec.period / quad.panels)) / spec.period
-
-
-def _phase_grid(quad: QuadratureSpec) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, quad.panels + 1)
-
-
-def _phase_average(values: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    return _simpson_integral(values, 2.0 * math.pi / quad.panels) / (2.0 * math.pi)
+    return float(np.mean(ys))
 
 
 @functools.lru_cache(maxsize=8)
-def _phase_states(panels: int) -> np.ndarray:
-    states = product_state_phase(_phase_grid(QuadratureSpec(panels)))
+def _evolving_ensemble(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product pair at the phase nodes, and rho_bar, the mean of their projectors."""
+    states = product_state_phase(_phase_nodes(panels))
+    rho = np.einsum("ni,nj->ij", states, states.conj()) / panels
     states.setflags(write=False)
-    return states
+    rho.setflags(write=False)
+    return states, rho
 
 
 @functools.lru_cache(maxsize=8)
 def _stationary_cached(panels: int) -> np.ndarray:
-    quad = QuadratureSpec(panels)
-    averaged = _phase_average(_phase_states(panels), quad)
+    averaged = _evolving_ensemble(panels)[0].mean(axis=0)
     norm = float(np.linalg.norm(averaged))
     if norm < DEGENERATE_DENOMINATOR:
         raise NumericalIntegrityError("one-period amplitude average vanished")
@@ -135,27 +131,30 @@ def _stationary_cached(panels: int) -> np.ndarray:
     return state
 
 
+def _stationary_ensemble(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary singlet as a one-member ensemble, and its projector."""
+    psi = _stationary_cached(panels)
+    return psi[np.newaxis, :], projector(psi)
+
+
+_ENSEMBLES = {StateKind.STATIONARY: _stationary_ensemble, StateKind.TIME_DEPENDENT: _evolving_ensemble}
+
+
 def stationary_state(spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """One-period componentwise amplitude average of the product pair, normalized.
 
     The global phase is fixed by making the HV amplitude real and positive.
-    The result is the polarization singlet up to quadrature roundoff. It does
-    not depend on omega: the average is taken in the phase variable.
+    The result is the polarization singlet up to roundoff. It does not
+    depend on omega: the average is taken in the phase variable.
     """
     return _stationary_cached(quad.panels).copy()
 
 
-def _single_expectation(state: np.ndarray, effect: np.ndarray, formalism: Formalism) -> float:
+def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formalism: Formalism) -> float:
+    """Equal-weight ensemble expectation: mean of <psi|E|psi>, or Tr[E rho]."""
     if formalism is Formalism.AMPLITUDE:
-        return float(np.real(np.vdot(state, effect @ state)))
-    return trace_of_product(effect, projector(state)).real
-
-
-def _batch_expectation(states: np.ndarray, effect: np.ndarray, formalism: Formalism) -> np.ndarray:
-    if formalism is Formalism.AMPLITUDE:
-        return np.einsum("ni,ij,nj->n", states.conj(), effect, states).real
-    rhos = np.einsum("ni,nj->nij", states, states.conj())
-    return np.einsum("ij,nji->n", effect, rhos).real
+        return float(np.mean(np.einsum("ni,ij,nj->n", states.conj(), effect, states).real))
+    return trace_of_product(effect, rho).real
 
 
 def conditional_probability(
@@ -169,16 +168,9 @@ def conditional_probability(
     lam = query.effective_sharpness
     effect_joint = joint_effect(lam, Outcome.H, Outcome.V)
     effect_clock = tensor_product(unsharp_effects(lam.lambda_c)[0], np.eye(2, dtype=complex))
-
-    if query.state_kind is StateKind.STATIONARY:
-        psi = _stationary_cached(quad.panels)
-        numerator = _single_expectation(psi, effect_joint, query.formalism)
-        denominator = _single_expectation(psi, effect_clock, query.formalism)
-    else:
-        states = _phase_states(quad.panels)
-        numerator = float(_phase_average(_batch_expectation(states, effect_joint, query.formalism), quad))
-        denominator = float(_phase_average(_batch_expectation(states, effect_clock, query.formalism), quad))
-
+    states, rho = _ENSEMBLES[query.state_kind](quad.panels)
+    numerator = _expectation(effect_joint, states, rho, query.formalism)
+    denominator = _expectation(effect_clock, states, rho, query.formalism)
     if denominator < DEGENERATE_DENOMINATOR:
         raise DegenerateConditioningError(
             f"conditioning probability {denominator:.3e} is numerically zero"

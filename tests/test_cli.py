@@ -37,6 +37,11 @@ class TestArgumentHandling:
 
     def test_bad_panels(self, capsys):
         assert main(["cond-slice", "--panels", "7"]) == 1
+        assert main(["report", "--panels", "4"]) == 1
+
+    def test_subnormal_frequency_is_accepted(self, capsys):
+        # the conditional layer works in the phase omega*t and never forms 2*pi/omega
+        assert main(["wd-check", "--omega", "1e-310"]) == 0
 
     def test_bad_grid(self, capsys):
         assert main(["cond-surface", "--grid-n", "1"]) == 1

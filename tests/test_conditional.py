@@ -1,5 +1,6 @@
 """Conditional readout probabilities and the period-average machinery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,10 +35,10 @@ sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 class TestQuadratureSpec:
     def test_default_panels(self):
-        assert QuadratureSpec().panels == 4096
+        assert QuadratureSpec().panels == 8
 
     def test_rejects_bad_panel_counts(self):
-        for panels in (0, -2, 7, 4096.0):
+        for panels in (0, -2, 2, 4, 7, 4096.0):
             with pytest.raises(ValueError):
                 QuadratureSpec(panels)
 
@@ -76,11 +77,17 @@ class TestPeriodAverage:
         fine = period_average(lambda t: np.cos(t) ** 4, UNIT, QuadratureSpec(8192))
         assert abs(coarse - fine) <= 1e-13
 
+    def test_overflowing_period_is_rejected(self):
+        # 2*pi/omega is inf for a subnormal omega; averaging over it is meaningless
+        with pytest.raises(ValueError, match=r"period .* = inf .* omega = 1e-310"):
+            period_average(lambda t: np.cos(t) ** 2, ClockSpec(1e-310))
+
 
 class TestStationaryState:
     def test_equals_singlet_in_fixed_gauge(self):
-        psi = stationary_state(UNIT)
-        np.testing.assert_allclose(psi, SINGLET, atol=1e-12)
+        for quad in (QuadratureSpec(), QuadratureSpec(6)):
+            psi = stationary_state(UNIT, quad)
+            np.testing.assert_allclose(psi, SINGLET, rtol=0.0, atol=1e-15)
 
     def test_unit_norm(self):
         assert np.linalg.norm(stationary_state(UNIT)) == pytest.approx(1.0, abs=1e-14)
@@ -168,23 +175,31 @@ class TestUnsharpConditionals:
 
     def test_formalisms_agree_on_a_grid(self):
         grid = np.linspace(0.0, 1.0, 11)
-        for lc in grid:
-            for lr in grid:
-                pair = SharpnessPair(float(lc), float(lr))
-                for kind in StateKind:
-                    amp = conditional_probability(
-                        ConditionalQuery(
-                            kind, MeasurementKind.UNSHARP, pair, Formalism.AMPLITUDE
-                        ),
-                        UNIT,
-                    )
-                    dm = conditional_probability(
-                        ConditionalQuery(
-                            kind, MeasurementKind.UNSHARP, pair, Formalism.DENSITY_MATRIX
-                        ),
-                        UNIT,
-                    )
-                    assert abs(amp - dm) <= 1e-12
+        for quad, lc, lr in itertools.product((QuadratureSpec(), QuadratureSpec(6)), grid, grid):
+            pair = SharpnessPair(float(lc), float(lr))
+            closed = {
+                StateKind.STATIONARY: (1.0 + lc * lr) / 2.0,
+                StateKind.TIME_DEPENDENT: (2.0 + lc * lr) / 4.0,
+            }
+            for kind in StateKind:
+                amp = conditional_probability(
+                    ConditionalQuery(
+                        kind, MeasurementKind.UNSHARP, pair, Formalism.AMPLITUDE
+                    ),
+                    UNIT,
+                    quad,
+                )
+                dm = conditional_probability(
+                    ConditionalQuery(
+                        kind, MeasurementKind.UNSHARP, pair, Formalism.DENSITY_MATRIX
+                    ),
+                    UNIT,
+                    quad,
+                )
+                assert abs(amp - dm) <= 1e-12
+                # the trapezoid rule is exact here, so only roundoff remains
+                assert abs(amp - closed[kind]) <= 1e-15
+                assert abs(dm - closed[kind]) <= 1e-15
 
     def test_monotone_in_system_sharpness(self):
         values = [
