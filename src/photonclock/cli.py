@@ -44,6 +44,13 @@ WD_TARGET = 1e-12
 C_MAX_EXPECTED = 2.0 * math.sqrt(2.0)
 X_STAR_EXPECTED = math.pi / 8.0
 
+# the input envelope: past _X_MAX the engine's schedule times k*x/omega round
+# at ulp(3x) and its deviation from the closed form grows with x; the caps
+# keep a huge size a usage error instead of a MemoryError
+_X_MAX = 1e4
+_MAX_X_STEPS = 2**20
+_MAX_GRID_N = 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -57,18 +64,23 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError("omega must be finite and positive")
+        ClockSpec(self.omega)
         if self.grid_n < 2:
             raise ValueError("grid-n must be at least 2")
+        if self.grid_n > _MAX_GRID_N:
+            raise ValueError(f"grid-n must be at most {_MAX_GRID_N}")
         if self.x_steps < 1:
             raise ValueError("x-steps must be at least 1")
+        if self.x_steps > _MAX_X_STEPS:
+            raise ValueError(f"x-steps must be at most {_MAX_X_STEPS}")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError("x window must be finite")
         if self.x_min < 0.0:
             raise ValueError("x-min must be nonnegative")
         if not self.x_min < self.x_max:
             raise ValueError("need x-min < x-max")
+        if self.x_max > _X_MAX:
+            raise ValueError(f"x-max must be at most {_X_MAX:g}, the engine's accuracy envelope")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -128,23 +140,18 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def cmd_lgi_scan(config: RunConfig) -> int:
     xs = np.linspace(config.x_min, config.x_max, config.x_steps + 1)
-    rows = []
-    for x in xs:
-        x = float(x)
-        closed = lgi_functional(x)
-        if x == 0.0:
-            value = closed  # the sequential schedule degenerates at zero gap
-        else:
-            value = lgi_functional_engine(x)
-            if abs(value - closed) > CROSS_CHECK_TOL:
-                raise NumericalIntegrityError(
-                    f"engine and closed form disagree at x={x!r}: {value!r} vs {closed!r}"
-                )
-        rows.append((x, value, violates_classical_bound(value)))
     x_star, c_star = lgi_maximize(config.x_min, config.x_max)
-    engine_at_star = lgi_functional_engine(x_star) if x_star > 0.0 else lgi_functional(x_star)
-    if abs(engine_at_star - c_star) > CROSS_CHECK_TOL:
-        raise NumericalIntegrityError("engine disagrees with closed form at the maximizer")
+    points = np.append(xs, x_star)
+    closed = lgi_functional(points)
+    values = closed.copy()  # the sequential schedule degenerates at zero gap
+    values[points > 0.0] = lgi_functional_engine(points[points > 0.0])
+    worst = int(np.argmax(np.abs(values - closed)))
+    if abs(values[worst] - closed[worst]) > CROSS_CHECK_TOL:
+        raise NumericalIntegrityError(
+            f"engine and closed form disagree at x={float(points[worst])!r}: "
+            f"{float(values[worst])!r} vs {float(closed[worst])!r}"
+        )
+    rows = [(x, c, violates_classical_bound(c)) for x, c in zip(xs.tolist(), values[:-1].tolist())]
     meta = [
         ("omega", config.omega),
         ("x_min", config.x_min),
@@ -276,21 +283,9 @@ def _render_checks(command: str, meta_items, checks: list[dict], fmt: str) -> st
         obj = {"meta": _meta_object(command, meta_items), "checks": checks, "pass": all_pass}
         return json.dumps(obj, indent=2) + "\n"
     lines = [f"# {_meta_string(command, meta_items)}"]
-    index = 0
-    while index < len(checks):
-        check = checks[index]
-        if check["name"].startswith("dof_massless(") and index + 1 < len(checks):
-            partner = checks[index + 1]
-            status = "PASS" if check["pass"] and partner["pass"] else "FAIL"
-            lines.append(
-                f"{check['name']} = {_fmt(check['value'])}, {partner['name']} = {_fmt(partner['value'])}"
-                f" (target: {check['target']}, {partner['target']}) {status}"
-            )
-            index += 2
-            continue
+    for check in checks:
         status = "PASS" if check["pass"] else "FAIL"
         lines.append(f"{check['name']} = {_fmt(check['value'])} (target: {check['target']}) {status}")
-        index += 1
     failed = sum(1 for check in checks if not check["pass"])
     verdict = "PASS" if all_pass else "FAIL"
     lines.append(f"{command}: {verdict} ({len(checks) - failed}/{len(checks)} checks)")

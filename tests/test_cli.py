@@ -39,6 +39,22 @@ class TestArgumentHandling:
         assert main(["cond-slice", "--panels", "7"]) == 1
         assert main(["report", "--panels", "4"]) == 1
 
+    def test_envelope_caps_are_usage_errors(self, capsys):
+        # each cap is tested one step past it, through the rejection path only
+        past_x_max = repr(float(np.nextafter(1e4, np.inf)))
+        assert main(["lgi-scan", "--x-min", "9999", "--x-max", past_x_max]) == 1
+        assert "x-max must be at most 10000" in capsys.readouterr().err
+        assert main(["lgi-scan", "--x-max", "1e5"]) == 1
+        assert main(["lgi-scan", "--x-min", "1e300", "--x-max", "1e301"]) == 1
+        assert main(["lgi-scan", "--x-steps", str(2**20 + 1)]) == 1
+        assert "x-steps must be at most 1048576" in capsys.readouterr().err
+        assert main(["cond-surface", "--grid-n", "1025"]) == 1
+        assert main(["cond-slice", "--grid-n", "1025"]) == 1
+        assert "grid-n must be at most 1024" in capsys.readouterr().err
+
+    def test_scan_at_the_edge_of_the_window_passes_its_cross_check(self, capsys):
+        assert main(["lgi-scan", "--x-min", "9990", "--x-max", "10000", "--x-steps", "64"]) == 0
+
     def test_subnormal_frequency_is_accepted(self, capsys):
         # the conditional layer works in the phase omega*t and never forms 2*pi/omega
         assert main(["wd-check", "--omega", "1e-310"]) == 0
@@ -133,6 +149,15 @@ class TestLgiScan:
         assert rc == 3
         assert "integrity" in err
 
+    def test_maximizer_is_cross_checked(self, capsys, monkeypatch):
+        # an engine that is right on the grid and wrong anywhere else
+        grid = np.linspace(0.0, math.pi, 5)
+        engine = lambda x: np.where(np.isin(x, grid), cli.lgi_functional(x), 0.0)
+        monkeypatch.setattr(cli, "lgi_functional_engine", engine)
+        rc, _, err = run_to_text(capsys, ["lgi-scan", "--x-steps", "4"])
+        assert rc == 3
+        assert "integrity" in err
+
 
 class TestConditionalCommands:
     def test_slice_values(self, capsys):
@@ -201,7 +226,8 @@ class TestSummaryCommands:
         assert any(line.startswith("P_sharp_timeavg = 0.75") for line in lines)
         assert any(line.startswith("C_max = 2.82842712") for line in lines)
         assert any(line.startswith("x_star = 0.3926990") for line in lines)
-        assert "dof_massless(4) = 2, dof_massive(4) = 5 (target: 2, 5) PASS" in lines
+        assert "dof_massless(4) = 2 (target: 2) PASS" in lines
+        assert "dof_massive(4) = 5 (target: 5) PASS" in lines
         assert "multiplicity(j=2) = 5 (target: 5) PASS" in lines
 
     def test_report_json(self, capsys):

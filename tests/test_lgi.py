@@ -11,16 +11,24 @@ from photonclock import (
     ClockSpec,
     InitialCondition,
     LgiSchedule,
+    NullCollapseError,
     Outcome,
+    born_probability,
     joint_two_time_probability,
     lgi_functional,
     lgi_functional_engine,
     lgi_maximize,
     lgi_value,
+    luders_collapse,
+    projector,
+    propagator,
+    single_photon_hamiltonian,
     single_time_probability,
     two_time_correlator,
+    unsharp_effects,
     violates_classical_bound,
 )
+from photonclock.lgi import _joint_table, _rotation
 
 UNIT = ClockSpec(1.0)
 
@@ -32,6 +40,21 @@ X_CROSSING = math.acos((math.sqrt(3.0) - 1.0) / 2.0) / 2.0
 first_times = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
 gaps = st.floats(min_value=1e-6, max_value=8.0, allow_nan=False)
 phase_gaps = st.floats(min_value=1e-4, max_value=3.0, allow_nan=False)
+engine_gaps = st.floats(min_value=0.0, max_value=10.0, exclude_min=True)
+preparations = st.sampled_from(InitialCondition)
+
+
+def scalar_chain(init, outcome1, t1, outcome2, t2, spec):
+    """The validated single-state pipeline: series propagator, Lüders collapse, Born rule."""
+    sharp = unsharp_effects(1.0)
+    h = single_photon_hamiltonian(spec)
+    psi = propagator(h, t1, method="series") @ init.clock_ket
+    try:
+        post, p1 = luders_collapse(psi, sharp[outcome1.index])
+    except NullCollapseError:
+        return 0.0
+    evolved = propagator(h, t2 - t1, method="series") @ post
+    return p1 * born_probability(projector(evolved), sharp[outcome2.index])
 
 
 class TestSchedule:
@@ -246,6 +269,72 @@ class TestEngineAgreement:
         assert lgi_value(sched, spec) == pytest.approx(expected, abs=1e-12)
 
 
+class TestBatchedKernel:
+    """The batched kernel against the scalar chain it replaced and the closed forms."""
+
+    @given(st.lists(engine_gaps, min_size=1, max_size=16), preparations)
+    def test_engine_on_an_array_matches_scalar_calls_and_closed_form(self, gaps, init):
+        xs = np.array(gaps)
+        batched = lgi_functional_engine(xs, init=init)
+        assert isinstance(batched, np.ndarray) and batched.shape == xs.shape
+        scalar = np.array([lgi_functional_engine(x, init=init) for x in gaps])
+        assert np.max(np.abs(batched - scalar)) <= 1e-15
+        assert np.max(np.abs(batched - lgi_functional(xs))) <= 1e-12
+
+    @pytest.mark.parametrize("init", list(InitialCondition))
+    def test_joint_table_matches_scalar_chain(self, init):
+        rng = np.random.default_rng(7)
+        spec = ClockSpec(1.3)
+        t1 = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 63)])
+        t2 = t1 + rng.uniform(1e-6, 8.0, 64)
+        table = _joint_table(init, t1, t2, spec.omega)
+        assert table.shape == (2, 2, 64)
+        for o1 in Outcome:
+            for o2 in Outcome:
+                chain = [scalar_chain(init, o1, a, o2, b, spec) for a, b in zip(t1, t2)]
+                assert np.max(np.abs(table[o1.index, o2.index] - chain)) <= 1e-14
+
+    def test_null_branch_below_threshold_contributes_zero(self):
+        # cos^2(pi/2) is about 3.7e-33 in doubles: nonzero, but a null collapse
+        for o2 in Outcome:
+            args = (InitialCondition.START_H, Outcome.H, np.pi / 2, o2, np.pi / 2 + 1.0, UNIT)
+            assert joint_two_time_probability(*args) == 0.0
+            assert scalar_chain(*args) == 0.0
+
+    def test_rotation_is_the_series_propagator(self):
+        spec = ClockSpec(2.1)
+        times = np.linspace(0.0, 10.0, 41)
+        series = [propagator(single_photon_hamiltonian(spec), t, method="series") for t in times]
+        assert np.max(np.abs(_rotation(spec.omega * times) - np.array(series))) <= 1e-14
+
+    @given(first_times, gaps, gaps, gaps, st.floats(min_value=0.1, max_value=10.0), preparations)
+    def test_unequal_schedules_sum_pair_correlators(self, t1, g1, g2, g3, omega, init):
+        spec = ClockSpec(omega)
+        t2, t3 = t1 + g1, t1 + g1 + g2
+        t4 = t3 + g3
+        expected = (
+            math.cos(2 * omega * (t2 - t1))
+            + math.cos(2 * omega * (t3 - t2))
+            + math.cos(2 * omega * (t4 - t3))
+            - math.cos(2 * omega * (t4 - t1))
+        )
+        assert lgi_value(LgiSchedule(t1, t2, t3, t4), spec, init) == pytest.approx(expected, abs=1e-12)
+
+    def test_schedule_before_preparation_rejected(self):
+        with pytest.raises(ValueError):
+            lgi_value(LgiSchedule(-0.5, 0.5, 1.0, 2.0), UNIT)
+
+    def test_engine_rejects_any_nonpositive_gap(self):
+        for x in (0.0, -0.3, np.nan, np.inf, [0.2, 0.0]):
+            with pytest.raises(ValueError):
+                lgi_functional_engine(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_engine_rejects_a_gap_whose_time_step_overflows(self):
+        with pytest.raises(ValueError):
+            lgi_functional_engine(1e300, ClockSpec(1e-10))
+
+
 class TestViolationWindow:
     """The combination exceeds 2 on (0, X_CROSSING) and not past it."""
 
@@ -309,6 +398,13 @@ class TestMaximizer:
             lgi_maximize(1.0, 1.0)
         with pytest.raises(ValueError):
             lgi_maximize(np.nan, 2.0)
+
+    def test_returns_where_the_bracket_reaches_float_spacing(self):
+        # at 1e7 the spacing of doubles is about 1.9e-9, above the 1e-10 target;
+        # the closed form itself rounds at ulp(6x), about 7.5e-9, out here
+        x_star, c_star = lgi_maximize(1e7, 1e7 + 3.0)
+        assert 1e7 <= x_star <= 1e7 + 3.0
+        assert abs(c_star - 2.0 * np.sqrt(2.0)) <= 1e-8
 
     def test_deterministic(self):
         assert lgi_maximize(0.0, np.pi) == lgi_maximize(0.0, np.pi)
