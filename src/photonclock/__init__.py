@@ -60,7 +60,6 @@ from .measurement import (
 from .qstate import (
     PAIR_BASIS,
     SINGLE_BASIS,
-    Polarization,
     Subsystem,
     ket,
     projector,
@@ -86,7 +85,6 @@ __all__ = [
     "NumericalIntegrityError",
     "Outcome",
     "PAIR_BASIS",
-    "Polarization",
     "QuadratureSpec",
     "SHARP",
     "SINGLE_BASIS",

@@ -50,6 +50,7 @@ X_STAR_EXPECTED = math.pi / 8.0
 _X_MAX = 1e4
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
+_MAX_PANELS = 2**16
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class RunConfig:
 
     def __post_init__(self):
         ClockSpec(self.omega)
+        if self.panels > _MAX_PANELS:
+            raise ValueError(f"panels must be at most {_MAX_PANELS}")
         if self.grid_n < 2:
             raise ValueError("grid-n must be at least 2")
         if self.grid_n > _MAX_GRID_N:
@@ -165,31 +168,31 @@ def cmd_lgi_scan(config: RunConfig) -> int:
     return 0
 
 
-def _conditional_pair(pair: SharpnessPair, spec: ClockSpec, quad: QuadratureSpec) -> tuple[float, float]:
-    p_stationary = conditional_probability(
-        ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec, quad
-    )
-    p_timeavg = conditional_probability(
-        ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair), spec, quad
-    )
-    product = pair.lambda_c * pair.lambda_r
-    if abs(p_stationary - (1.0 + product) / 2.0) > CROSS_CHECK_TOL:
-        raise NumericalIntegrityError(f"stationary conditional off closed form at {pair}")
-    if abs(p_timeavg - (2.0 + product) / 4.0) > CROSS_CHECK_TOL:
-        raise NumericalIntegrityError(f"time-averaged conditional off closed form at {pair}")
-    return p_stationary, p_timeavg
+def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig) -> np.ndarray:
+    """The stationary and the time-averaged unsharp conditional at the sharpness points,
+    stacked: one call per preparation, one comparison against the closed forms."""
+    spec, quad = ClockSpec(config.omega), QuadratureSpec(config.panels)
+    pair = SharpnessPair(lam_c, lam_r)
+    kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
+    queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
+    values = np.stack([conditional_probability(query, spec, quad) for query in queries])
+    product = lam_c * lam_r
+    closed = np.stack([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
+    kind, point = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
+    if abs(values[kind, point] - closed[kind, point]) > CROSS_CHECK_TOL:
+        raise NumericalIntegrityError(
+            f"{kinds[kind].value} conditional and closed form disagree at "
+            f"lambda_c={float(lam_c[point])!r}, lambda_r={float(lam_r[point])!r}: "
+            f"{float(values[kind, point])!r} vs {float(closed[kind, point])!r}"
+        )
+    return values
 
 
 def cmd_cond_surface(config: RunConfig) -> int:
-    spec = ClockSpec(config.omega)
-    quad = QuadratureSpec(config.panels)
     grid = np.linspace(0.0, 1.0, config.grid_n)
-    rows = []
-    for lam_c in grid:
-        for lam_r in grid:
-            pair = SharpnessPair(float(lam_c), float(lam_r))
-            p_st, p_td = _conditional_pair(pair, spec, quad)
-            rows.append((float(lam_c), float(lam_r), p_st, p_td, p_st - p_td))
+    lam_c, lam_r = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
+    p_st, p_td = _conditional_columns(lam_c, lam_r, config)
+    rows = zip(lam_c.tolist(), lam_r.tolist(), p_st.tolist(), p_td.tolist(), (p_st - p_td).tolist())
     meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
     _emit(_render_dataset("cond-surface", meta, fields, rows, config.format), config.output_path)
@@ -197,13 +200,9 @@ def cmd_cond_surface(config: RunConfig) -> int:
 
 
 def cmd_cond_slice(config: RunConfig) -> int:
-    spec = ClockSpec(config.omega)
-    quad = QuadratureSpec(config.panels)
-    rows = []
-    for lam in np.linspace(0.0, 1.0, config.grid_n):
-        pair = SharpnessPair(float(lam), float(lam))
-        p_st, p_td = _conditional_pair(pair, spec, quad)
-        rows.append((float(lam), p_st, p_td))
+    lam = np.linspace(0.0, 1.0, config.grid_n)
+    p_st, p_td = _conditional_columns(lam, lam, config)
+    rows = zip(lam.tolist(), p_st.tolist(), p_td.tolist())
     meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
     fields = ("lambda", "P_stationary", "P_timeavg")
     _emit(_render_dataset("cond-slice", meta, fields, rows, config.format), config.output_path)

@@ -6,8 +6,12 @@ amplitude average of the evolving product pair: the polarization singlet
 ("time dependent") preparation is the product pair itself; averaged over one
 full period it is the mixed state rho_bar, the mean of its projectors.
 
-The headline quantity is P(V on system | H on clock) = Tr[E rho] / Tr[E_c rho].
-Closed forms, with clock and system sharpness lambda_c, lambda_r:
+The headline quantity is P(V on system | H on clock) = Tr[E rho] / Tr[E_c rho],
+with E = (I + lambda_c Q_c)(I - lambda_r Q_r)/4 and E_c = (I + lambda_c Q_c)/2.
+Both are affine in the sharpness, so a preparation enters only through the
+moments <I>, <Q_c>, <Q_r>, <Q_c Q_r>, each taken in the queried formalism; the
+per-effect ratio is the tests' oracle. Closed forms, with clock and system
+sharpness lambda_c, lambda_r:
 
     stationary, sharp        : 1
     time dependent, sharp    : 3/4
@@ -32,11 +36,15 @@ import numpy as np
 
 from .dynamics import ClockSpec, product_state_phase
 from .errors import DegenerateConditioningError, NumericalIntegrityError
-from .measurement import SHARP, Outcome, SharpnessPair, joint_effect, unsharp_effects
-from .qstate import projector, tensor_product, trace_of_product
+from .measurement import SHARP, SharpnessPair, dichotomic_observable
+from .qstate import Subsystem, projector, trace_of_product
 
 DEGENERATE_DENOMINATOR = 1e-14
 MIN_PANELS = 6  # smallest even node count above the integrand degree 4
+
+_Q_C, _Q_R = dichotomic_observable(Subsystem.CLOCK), dichotomic_observable(Subsystem.SYSTEM)
+# both are diagonal, so Q_c Q_r is their elementwise product; a matmul would start BLAS at import
+_MOMENTS = (np.eye(4, dtype=complex), _Q_C, _Q_R, _Q_C * _Q_R)
 
 
 @dataclass(frozen=True)
@@ -159,29 +167,31 @@ def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formal
 
 def conditional_probability(
     query: ConditionalQuery, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+) -> float | np.ndarray:
     """P(V on system | H on clock) for the queried preparation and readout.
 
-    Numerator and denominator always go through the same formalism; for the
-    evolving preparation both are one-period averages taken before the ratio.
+    A float for a scalar sharpness pair, an array for an array pair. All four
+    moments go through the same formalism; for the evolving preparation they
+    are one-period averages taken before the ratio.
     """
     lam = query.effective_sharpness
-    effect_joint = joint_effect(lam, Outcome.H, Outcome.V)
-    effect_clock = tensor_product(unsharp_effects(lam.lambda_c)[0], np.eye(2, dtype=complex))
+    lam_c, lam_r = np.asarray(lam.lambda_c, dtype=float), np.asarray(lam.lambda_r, dtype=float)
     states, rho = _ENSEMBLES[query.state_kind](quad.panels)
-    numerator = _expectation(effect_joint, states, rho, query.formalism)
-    denominator = _expectation(effect_clock, states, rho, query.formalism)
-    if denominator < DEGENERATE_DENOMINATOR:
+    m0, m_c, m_r, m_cr = (_expectation(op, states, rho, query.formalism) for op in _MOMENTS)
+    numerator = (m0 + lam_c * m_c - lam_r * m_r - lam_c * lam_r * m_cr) / 4.0
+    denominator = (m0 + lam_c * m_c) / 2.0
+    if np.any(denominator < DEGENERATE_DENOMINATOR):
         raise DegenerateConditioningError(
-            f"conditioning probability {denominator:.3e} is numerically zero"
+            f"conditioning probability {float(np.min(denominator)):.3e} is numerically zero"
         )
-    return float(numerator / denominator)
+    value = numerator / denominator
+    return float(value) if value.ndim == 0 else value
 
 
 def entanglement_advantage(
     pair: SharpnessPair, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Stationary minus time-dependent unsharp conditional; equals lambda_c*lambda_r/4."""
+) -> float | np.ndarray:
+    """Stationary minus time-dependent unsharp conditional, lambda_c*lambda_r/4; shaped like the pair."""
     stationary = conditional_probability(
         ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec, quad
     )

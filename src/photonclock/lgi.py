@@ -186,9 +186,10 @@ def lgi_functional_engine(
     omega down to the last bit.
     """
     spec = spec if spec is not None else ClockSpec(1.0)
-    dt = np.divide(x, spec.omega)
-    if not np.all((dt > 0.0) & np.isfinite(3.0 * dt)):
-        raise ValueError("phase gap x must be positive, with x / omega a finite time")
+    with np.errstate(over="ignore"):  # an overflowing time step raises the ValueError alone
+        dt = np.divide(x, spec.omega)
+        if not np.all((dt > 0.0) & np.isfinite(3.0 * dt)):
+            raise ValueError("phase gap x must be positive, with x / omega a finite time")
     value = _combination(init, np.multiply.outer(np.arange(4.0), dt), spec.omega)  # 0, dt, 2 dt, 3 dt
     return float(value) if value.ndim == 0 else value
 

@@ -34,14 +34,15 @@ class Outcome(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SharpnessPair:
-    """Sharpness of the clock-side and system-side readouts."""
+    """Sharpness of the clock-side and system-side readouts, scalars or arrays in [0, 1]."""
 
-    lambda_c: float
-    lambda_r: float
+    lambda_c: float | np.ndarray
+    lambda_r: float | np.ndarray
 
     def __post_init__(self):
         for value in (self.lambda_c, self.lambda_r):
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            lam = np.asarray(value, dtype=float)
+            if not np.all((lam >= 0.0) & (lam <= 1.0)):  # NaN fails both comparisons
                 raise ValueError("sharpness values must lie in [0, 1]")
 
 

@@ -36,16 +36,6 @@ class Subsystem(enum.Enum):
     SYSTEM = "system"
 
 
-class Polarization(enum.Enum):
-    H = 0
-    V = 1
-
-    @property
-    def dichotomic_value(self) -> int:
-        """+1 for H, -1 for V: the eigenvalue under the polarization observable."""
-        return 1 if self is Polarization.H else -1
-
-
 def ket(label: str) -> np.ndarray:
     """Basis vector for a label such as ``"V"`` or ``"HV"`` (clock letter first)."""
     if label in SINGLE_BASIS:

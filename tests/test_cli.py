@@ -51,6 +51,9 @@ class TestArgumentHandling:
         assert main(["cond-surface", "--grid-n", "1025"]) == 1
         assert main(["cond-slice", "--grid-n", "1025"]) == 1
         assert "grid-n must be at most 1024" in capsys.readouterr().err
+        for command in ("cond-surface", "cond-slice", "report", "wd-check"):
+            assert main([command, "--panels", str(2**16 + 2)]) == 1
+            assert "panels must be at most 65536" in capsys.readouterr().err
 
     def test_scan_at_the_edge_of_the_window_passes_its_cross_check(self, capsys):
         assert main(["lgi-scan", "--x-min", "9990", "--x-max", "10000", "--x-steps", "64"]) == 0
@@ -194,6 +197,33 @@ class TestConditionalCommands:
         pairs = [tuple(map(float, row.split(",")[:2])) for row in data_lines(out)[1:]]
         grid = [0.0, 0.5, 1.0]
         assert pairs == [(lc, lr) for lc in grid for lr in grid]
+
+    @pytest.mark.parametrize(
+        "command, index, where",
+        [("cond-surface", 5, "lambda_c=0.5, lambda_r=1.0"), ("cond-slice", 1, "lambda_c=0.5, lambda_r=0.5")],
+    )
+    def test_integrity_failure_names_the_point(self, capsys, monkeypatch, command, index, where):
+        # a conditional that is off the closed form at one grid point only
+        real = cli.conditional_probability
+
+        def off_at_one_point(query, spec, quad):
+            values = real(query, spec, quad)
+            if query.state_kind is cli.StateKind.TIME_DEPENDENT:
+                values[index] += 1e-6
+            return values
+
+        monkeypatch.setattr(cli, "conditional_probability", off_at_one_point)
+        rc, _, err = run_to_text(capsys, [command, "--grid-n", "3"])
+        assert rc == 3
+        assert f"time_dependent conditional and closed form disagree at {where}" in err
+
+    @pytest.mark.parametrize("grid_n", [2, 41])
+    def test_surface_makes_one_call_per_preparation(self, capsys, monkeypatch, grid_n):
+        calls = []
+        real = cli.conditional_probability
+        monkeypatch.setattr(cli, "conditional_probability", lambda *args: calls.append(args) or real(*args))
+        assert main(["cond-surface", "--grid-n", str(grid_n)]) == 0
+        assert len(calls) == 2
 
 
 class TestDofCommand:

@@ -15,15 +15,22 @@ from photonclock import (
     DegenerateConditioningError,
     Formalism,
     MeasurementKind,
+    Outcome,
     QuadratureSpec,
     SharpnessPair,
     StateKind,
     conditional_probability,
     entanglement_advantage,
     global_hamiltonian,
+    joint_effect,
     ket,
     period_average,
+    product_state_phase,
+    projector,
     stationary_state,
+    tensor_product,
+    trace_of_product,
+    unsharp_effects,
     wd_residual,
 )
 
@@ -31,6 +38,18 @@ UNIT = ClockSpec(1.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def per_effect_ratio(kind, pair, panels):
+    """Test oracle: Tr[E rho] / Tr[E_c rho] with the effects built outright."""
+    if kind is StateKind.STATIONARY:
+        rho = projector(stationary_state(UNIT, QuadratureSpec(panels)))
+    else:
+        states = product_state_phase(2.0 * math.pi * np.arange(panels) / panels)
+        rho = sum(projector(psi) for psi in states) / panels
+    effect = joint_effect(pair, Outcome.H, Outcome.V)
+    effect_clock = tensor_product(unsharp_effects(pair.lambda_c)[0], np.eye(2))
+    return (trace_of_product(effect, rho) / trace_of_product(effect_clock, rho)).real
 
 
 class TestQuadratureSpec:
@@ -200,6 +219,44 @@ class TestUnsharpConditionals:
                 # the trapezoid rule is exact here, so only roundoff remains
                 assert abs(amp - closed[kind]) <= 1e-15
                 assert abs(dm - closed[kind]) <= 1e-15
+
+    @given(sharpness, sharpness)
+    def test_moment_form_matches_the_per_effect_ratio(self, lc, lr):
+        pair = SharpnessPair(lc, lr)
+        for kind, formalism, panels in itertools.product(StateKind, Formalism, (6, 8)):
+            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism)
+            p = conditional_probability(query, UNIT, QuadratureSpec(panels))
+            assert abs(p - per_effect_ratio(kind, pair, panels)) <= 1e-15
+
+    def test_moment_form_holds_on_a_generic_state(self, monkeypatch):
+        # all four moments are nonzero here; on the two physical preparations <Q_c> = <Q_r> = 0
+        psi = np.array([0.6, 0.5, 0.3j, -0.2 + 0.1j]) / math.sqrt(0.75)
+        monkeypatch.setattr(conditional_module, "_stationary_cached", lambda panels: psi)
+        grid = np.linspace(0.0, 1.0, 6)
+        for lc, lr, formalism in itertools.product(grid.tolist(), grid.tolist(), Formalism):
+            pair = SharpnessPair(lc, lr)
+            query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair, formalism)
+            p = conditional_probability(query, UNIT)
+            assert abs(p - per_effect_ratio(StateKind.STATIONARY, pair, 8)) <= 1e-15
+
+    def test_array_call_equals_scalar_calls(self):
+        grid = np.linspace(0.0, 1.0, 7)
+        lc, lr = (axis.ravel() for axis in np.meshgrid(grid, grid[::-1], indexing="ij"))
+        for kind, formalism in itertools.product(StateKind, Formalism):
+            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, SharpnessPair(lc, lr), formalism)
+            values = conditional_probability(query, UNIT)
+            assert isinstance(values, np.ndarray) and values.shape == lc.shape
+            scalars = [
+                conditional_probability(
+                    ConditionalQuery(kind, MeasurementKind.UNSHARP, SharpnessPair(a, b), formalism), UNIT
+                )
+                for a, b in zip(lc.tolist(), lr.tolist())
+            ]
+            assert all(type(value) is float for value in scalars)
+            assert np.array_equal(values, scalars)
+        advantage = entanglement_advantage(SharpnessPair(lc, lr), UNIT)
+        scalars = [entanglement_advantage(SharpnessPair(a, b), UNIT) for a, b in zip(lc.tolist(), lr.tolist())]
+        assert np.array_equal(advantage, scalars)
 
     def test_monotone_in_system_sharpness(self):
         values = [

@@ -59,7 +59,7 @@ class TestOutcome:
 
 class TestSharpnessPair:
     def test_range_enforced(self):
-        for bad in (-0.1, 1.1, np.nan):
+        for bad in (-0.1, 1.1, np.nan, [0.2, np.nan], np.array([0.0, 1.0 + 1e-15]), [[0.5], [-0.1]]):
             with pytest.raises(ValueError):
                 SharpnessPair(bad, 0.5)
             with pytest.raises(ValueError):
@@ -67,6 +67,7 @@ class TestSharpnessPair:
 
     def test_endpoints_allowed(self):
         SharpnessPair(0.0, 1.0)
+        SharpnessPair(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 class TestUnsharpEffects:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photonclock import (
-    Polarization,
     Subsystem,
     ket,
     projector,
@@ -50,14 +49,6 @@ def density_matrices(dim):
 
 
 class TestBasisConventions:
-    def test_polarization_ordinals(self):
-        assert Polarization.H.value == 0
-        assert Polarization.V.value == 1
-
-    def test_dichotomic_values(self):
-        assert Polarization.H.dichotomic_value == +1
-        assert Polarization.V.dichotomic_value == -1
-
     def test_subsystem_members(self):
         assert {Subsystem.CLOCK, Subsystem.SYSTEM} == set(Subsystem)
 
