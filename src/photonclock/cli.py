@@ -4,19 +4,26 @@ Subcommands: lgi-scan, cond-surface, cond-slice, report, dof, wd-check.
 Datasets are written as CSV (one '#' metadata line, a header line, then
 rows) or JSON ({"meta": ..., "rows": [...]}). Floats are printed with 17
 significant digits and '\n' endings, so identical configurations produce
-byte-identical files. Every reported quantity is dimensionless, which makes
-the data independent of --omega.
+byte-identical files. Rows are written in blocks of BLOCK_ROWS, so memory
+stays bounded at every size, and --out is replaced atomically once complete.
+Every reported quantity is dimensionless, which makes the data independent
+of --omega.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical integrity.
+Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
+memory included), 3 numerical integrity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +58,9 @@ _X_MAX = 1e4
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
 _MAX_PANELS = 2**16
+
+# rows formatted and written at a time: the text of one block stays near 2 MB
+BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -118,24 +128,78 @@ def _meta_object(command: str, items: list[tuple[str, object]]) -> dict:
     return meta
 
 
-def _render_dataset(command: str, meta_items, fieldnames, rows, fmt: str) -> str:
+def _block_values(columns, lo: int, hi: int) -> list:
+    """Rows lo..hi-1 of the columns as one flat row-major list of Python values."""
+    cells = [np.where(c[lo:hi], "true", "false") if c.dtype == np.bool_ else c[lo:hi] for c in columns]
+    if len({cell.dtype for cell in cells}) > 1:
+        cells = [cell.astype(object) for cell in cells]  # no promotion of one column to another's type
+    return np.column_stack(cells).ravel().tolist()
+
+
+def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
+    """Write a dataset, BLOCK_ROWS rows at a time, each block by one %-template.
+
+    The text is byte-identical to a CSV with one line per row, or to
+    ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
+    """
+    # bools arrive as the strings true and false; str of a Python float is its repr, as in json
+    float_spec = "%.17g" if fmt == "csv" else "%s"
+    specs = [{"b": "%s", "i": "%d"}.get(column.dtype.kind, float_spec) for column in columns]
     if fmt == "json":
-        obj = {
-            "meta": _meta_object(command, meta_items),
-            "rows": [dict(zip(fieldnames, map(_native, row))) for row in rows],
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    lines = [f"# {_meta_string(command, meta_items)}", ",".join(fieldnames)]
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
+        handle.write(meta[: -len("\n}")] + ',\n  "rows": [')
+        fields = ",\n".join(f"      {json.dumps(name)}: {spec}" for name, spec in zip(fieldnames, specs))
+        row, tail = ",\n    {\n" + fields + "\n    }", "\n  ]\n}\n"
     else:
-        sys.stdout.write(text)
+        handle.write(f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}")
+        row, tail = "\n" + ",".join(specs), "\n"
+    rows = len(columns[0])
+    for lo in range(0, rows, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, rows)
+        text = row * (hi - lo) % tuple(_block_values(columns, lo, hi))
+        handle.write(text[1:] if lo == 0 and fmt == "json" else text)  # no comma before the first row
+    handle.write(tail)
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A text handle on stdout, or on a temp file that replaces ``path`` once complete.
+
+    A run that fails while writing leaves an existing ``path`` untouched and
+    no temp file behind. The new file gets the mode ``open(path, "w")`` would
+    give it. A path that exists and is not a regular file, such as a FIFO or
+    /dev/null, is written directly.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write_dataset(command: str, meta_items, fieldnames, columns, config: RunConfig) -> None:
+    with _output(config.output_path) as handle:
+        _write_rows(handle, command, meta_items, fieldnames, columns, config.format)
 
 
 # --- dataset commands -------------------------------------------------------
@@ -147,14 +211,16 @@ def cmd_lgi_scan(config: RunConfig) -> int:
     points = np.append(xs, x_star)
     closed = lgi_functional(points)
     values = closed.copy()  # the sequential schedule degenerates at zero gap
-    values[points > 0.0] = lgi_functional_engine(points[points > 0.0])
+    gaps = np.flatnonzero(points > 0.0)
+    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~1 kB a point
+        block = gaps[lo : lo + BLOCK_ROWS]
+        values[block] = lgi_functional_engine(points[block])
     worst = int(np.argmax(np.abs(values - closed)))
     if abs(values[worst] - closed[worst]) > CROSS_CHECK_TOL:
         raise NumericalIntegrityError(
             f"engine and closed form disagree at x={float(points[worst])!r}: "
             f"{float(values[worst])!r} vs {float(closed[worst])!r}"
         )
-    rows = [(x, c, violates_classical_bound(c)) for x, c in zip(xs.tolist(), values[:-1].tolist())]
     meta = [
         ("omega", config.omega),
         ("x_min", config.x_min),
@@ -163,8 +229,8 @@ def cmd_lgi_scan(config: RunConfig) -> int:
         ("x_star", x_star),
         ("c_star", c_star),
     ]
-    text = _render_dataset("lgi-scan", meta, ("x", "C", "violates"), rows, config.format)
-    _emit(text, config.output_path)
+    columns = (xs, values[:-1], violates_classical_bound(values[:-1]))
+    _write_dataset("lgi-scan", meta, ("x", "C", "violates"), columns, config)
     return 0
 
 
@@ -192,28 +258,26 @@ def cmd_cond_surface(config: RunConfig) -> int:
     grid = np.linspace(0.0, 1.0, config.grid_n)
     lam_c, lam_r = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
     p_st, p_td = _conditional_columns(lam_c, lam_r, config)
-    rows = zip(lam_c.tolist(), lam_r.tolist(), p_st.tolist(), p_td.tolist(), (p_st - p_td).tolist())
     meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    _emit(_render_dataset("cond-surface", meta, fields, rows, config.format), config.output_path)
+    _write_dataset("cond-surface", meta, fields, (lam_c, lam_r, p_st, p_td, p_st - p_td), config)
     return 0
 
 
 def cmd_cond_slice(config: RunConfig) -> int:
     lam = np.linspace(0.0, 1.0, config.grid_n)
     p_st, p_td = _conditional_columns(lam, lam, config)
-    rows = zip(lam.tolist(), p_st.tolist(), p_td.tolist())
     meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
     fields = ("lambda", "P_stationary", "P_timeavg")
-    _emit(_render_dataset("cond-slice", meta, fields, rows, config.format), config.output_path)
+    _write_dataset("cond-slice", meta, fields, (lam, p_st, p_td), config)
     return 0
 
 
 def cmd_dof(config: RunConfig, dim: int) -> int:
-    rows = [(dim, massless_graviton_dof(dim), massive_graviton_dof(dim))]
+    columns = [np.array([value]) for value in (dim, massless_graviton_dof(dim), massive_graviton_dof(dim))]
     meta = [("dim", dim)]
     fields = ("D", "massless_dof", "massive_dof")
-    _emit(_render_dataset("dof", meta, fields, rows, config.format), config.output_path)
+    _write_dataset("dof", meta, fields, columns, config)
     return 0
 
 
@@ -292,8 +356,8 @@ def _render_checks(command: str, meta_items, checks: list[dict], fmt: str) -> st
 
 
 def _finish_checks(command: str, meta_items, checks: list[dict], config: RunConfig) -> int:
-    text = _render_checks(command, meta_items, checks, config.format)
-    _emit(text, config.output_path)
+    with _output(config.output_path) as handle:
+        handle.write(_render_checks(command, meta_items, checks, config.format))
     failing = [check["name"] for check in checks if not check["pass"]]
     if failing:
         print(f"{TOOL} {command}: failed checks: {', '.join(failing)}", file=sys.stderr)
@@ -399,6 +463,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"{TOOL}: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"{TOOL}: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalIntegrityError as exc:
         print(f"{TOOL}: numerical integrity: {exc}", file=sys.stderr)

@@ -194,8 +194,12 @@ def lgi_functional_engine(
     return float(value) if value.ndim == 0 else value
 
 
-def violates_classical_bound(value: float) -> bool:
-    """True when the combination exceeds 2 beyond numerical slack."""
+def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
+    """True when the combination exceeds 2 beyond numerical slack.
+
+    Takes a float or an array of them; an array gives a boolean array,
+    element by element the same as the scalar calls.
+    """
     return value > CLASSICAL_BOUND + 1e-12
 
 

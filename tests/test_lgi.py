@@ -372,6 +372,13 @@ class TestViolationPredicate:
         assert violates_classical_bound(2.0 + 1e-11)
         assert not violates_classical_bound(-3.0)
 
+    def test_array_matches_the_scalar_calls(self):
+        values = np.array([2.0 * np.sqrt(2.0), 2.0, 2.0 + 5e-13, 2.0 + 1e-11, -3.0, 2.0 + 1e-12])
+        flags = violates_classical_bound(values)
+        assert flags.dtype == np.bool_
+        assert flags.tolist() == [violates_classical_bound(float(v)) for v in values]
+        assert flags.tolist() == [True, False, False, True, False, False]
+
 
 class TestMaximizer:
     def test_peak_location_and_height(self):
