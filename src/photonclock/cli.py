@@ -216,7 +216,7 @@ def cmd_lgi_scan(config: RunConfig) -> int:
         block = gaps[lo : lo + BLOCK_ROWS]
         values[block] = lgi_functional_engine(points[block])
     worst = int(np.argmax(np.abs(values - closed)))
-    if abs(values[worst] - closed[worst]) > CROSS_CHECK_TOL:
+    if not abs(values[worst] - closed[worst]) <= CROSS_CHECK_TOL:  # a NaN fails too
         raise NumericalIntegrityError(
             f"engine and closed form disagree at x={float(points[worst])!r}: "
             f"{float(values[worst])!r} vs {float(closed[worst])!r}"
@@ -245,7 +245,7 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig
     product = lam_c * lam_r
     closed = np.stack([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     kind, point = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
-    if abs(values[kind, point] - closed[kind, point]) > CROSS_CHECK_TOL:
+    if not abs(values[kind, point] - closed[kind, point]) <= CROSS_CHECK_TOL:  # a NaN fails too
         raise NumericalIntegrityError(
             f"{kinds[kind].value} conditional and closed form disagree at "
             f"lambda_c={float(lam_c[point])!r}, lambda_r={float(lam_r[point])!r}: "

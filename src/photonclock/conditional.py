@@ -98,23 +98,6 @@ def _phase_nodes(panels: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(panels) / panels
 
 
-def period_average(f, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """(omega / 2 pi) * integral of f(t) over one period [0, 2 pi / omega).
-
-    f may be vectorized over a time array; plain scalar callables work too.
-    """
-    if not math.isfinite(spec.period):
-        raise ValueError(f"period 2*pi/omega = {spec.period!r} overflows at omega = {spec.omega!r}")
-    ts = _phase_nodes(quad.panels) / spec.omega
-    try:
-        ys = np.asarray(f(ts), dtype=float)
-        if ys.shape != ts.shape:
-            raise TypeError
-    except TypeError:
-        ys = np.asarray([float(f(t)) for t in ts])
-    return float(np.mean(ys))
-
-
 @functools.lru_cache(maxsize=8)
 def _evolving_ensemble(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The product pair at the phase nodes, and rho_bar, the mean of their projectors."""

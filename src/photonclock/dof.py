@@ -15,10 +15,6 @@ class Spin:
         if not (isinstance(self.twice_j, int) and self.twice_j >= 0):
             raise ValueError("twice_j must be a nonnegative integer")
 
-    @property
-    def j(self) -> float:
-        return self.twice_j / 2.0
-
     @classmethod
     def from_j(cls, j: float) -> "Spin":
         twice = round(2.0 * j)

@@ -1,4 +1,4 @@
-"""Two-level rotor Hamiltonians, exact propagators, and the static-state residual.
+"""Two-level rotor Hamiltonians, the series propagator, and the static-state residual.
 
 Units: hbar is fixed to 1, so omega is the only scale and energies are in
 units of hbar*omega. Every physical result downstream depends on the phase
@@ -31,10 +31,6 @@ class ClockSpec:
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("omega must be finite and positive")
 
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
 
 def single_photon_hamiltonian(spec: ClockSpec) -> np.ndarray:
     """i*hbar*omega*(|H><V| - |V><H|), the generator rotating H into -V."""
@@ -47,16 +43,6 @@ def global_hamiltonian(spec: ClockSpec) -> np.ndarray:
     h1 = single_photon_hamiltonian(spec)
     eye = np.eye(2, dtype=complex)
     return tensor_product(h1, eye) + tensor_product(eye, h1)
-
-
-def _isotropic_square(h: np.ndarray):
-    """If h @ h == c2 * I (within roundoff) return (True, c2)."""
-    sq = h @ h
-    dim = h.shape[0]
-    c2 = float(np.real(np.trace(sq))) / dim
-    scale = max(1.0, abs(c2))
-    deviation = float(np.max(np.abs(sq - c2 * np.eye(dim))))
-    return deviation <= ATOL * scale and c2 >= -ATOL * scale, c2
 
 
 def _expm_series(a: np.ndarray) -> np.ndarray:
@@ -80,14 +66,12 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def propagator(h, t: float, method: str = "auto") -> np.ndarray:
+def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-i h t / hbar) for a Hermitian generator h.
 
-    Two independent routes are available. The closed form applies whenever
-    h @ h is proportional to the identity (true for the one-photon generator,
-    whose square is (hbar*omega)^2 * I) and costs two trig calls. The series
-    route is generic scaling-and-squaring and makes no structural assumption.
-    ``method`` is one of ``"auto"``, ``"closed"``, ``"series"``.
+    Generic scaling and squaring of the Taylor series, with no structural
+    assumption about h. It is the test oracle for the one closed form in the
+    package, the batched plane rotation ``lgi._rotation``.
     """
     hm = np.asarray(h, dtype=complex)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
@@ -95,20 +79,6 @@ def propagator(h, t: float, method: str = "auto") -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(hm))) if hm.size else 0.0)
     if float(np.max(np.abs(hm - hm.conj().T))) > ATOL * scale:
         raise ValueError("generator must be Hermitian")
-    if method not in ("auto", "closed", "series"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method in ("auto", "closed"):
-        isotropic, c2 = _isotropic_square(hm)
-        if isotropic:
-            c = math.sqrt(max(c2, 0.0))
-            dim = hm.shape[0]
-            if c == 0.0:
-                return np.eye(dim, dtype=complex)
-            angle = c * t / HBAR
-            return math.cos(angle) * np.eye(dim, dtype=complex) - 1j * (math.sin(angle) / c) * hm
-        if method == "closed":
-            raise ValueError("closed form needs h @ h proportional to the identity")
     return _expm_series((-1j * t / HBAR) * hm)
 
 
@@ -130,8 +100,3 @@ def product_state_phase(phase) -> np.ndarray:
     ph = np.asarray(phase, dtype=float)
     c, s = np.cos(ph), np.sin(ph)
     return np.stack([s * c, c * c, -s * s, -s * c], axis=-1).astype(complex)
-
-
-def product_state_at(t: float, spec: ClockSpec) -> np.ndarray:
-    """The un-entangled reference pair at time t, starting from |HV> at t = 0."""
-    return product_state_phase(spec.omega * float(t))

@@ -67,34 +67,6 @@ class LgiSchedule:
     def times(self) -> tuple[float, float, float, float]:
         return (self.t1, self.t2, self.t3, self.t4)
 
-    @property
-    def spacings(self) -> tuple[float, float, float]:
-        t = self.times
-        return (t[1] - t[0], t[2] - t[1], t[3] - t[2])
-
-    @property
-    def equal_spacing(self) -> bool:
-        d = self.spacings
-        scale = max(1.0, abs(d[0]))
-        return max(abs(d[1] - d[0]), abs(d[2] - d[0])) <= 1e-12 * scale
-
-    @property
-    def delta_t(self) -> float:
-        if not self.equal_spacing:
-            raise ValueError("schedule is not equally spaced")
-        return self.spacings[0]
-
-    def x(self, spec: ClockSpec) -> float:
-        """Dimensionless phase gap omega * delta_t."""
-        return spec.omega * self.delta_t
-
-    @classmethod
-    def equally_spaced(cls, x: float, spec: ClockSpec, start: float = 0.0) -> "LgiSchedule":
-        if not (math.isfinite(x) and x > 0.0):
-            raise ValueError("phase gap x must be positive")
-        delta = x / spec.omega
-        return cls(start, start + delta, start + 2 * delta, start + 3 * delta)
-
 
 def _rotation(phase) -> np.ndarray:
     """exp(-i h t) of the one-photon generator at phase omega*t, batched to shape (..., 2, 2)."""
@@ -122,15 +94,6 @@ def _combination(init: InitialCondition, times: np.ndarray, omega: float) -> np.
     table = _joint_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], omega)
     c12, c23, c34, c14 = np.einsum("a,ab...,b->...", _Q, table, _Q)
     return c12 + c23 + c34 - c14
-
-
-def single_time_probability(
-    init: InitialCondition, outcome: Outcome, t: float, spec: ClockSpec
-) -> float:
-    """P(outcome at t | preparation), e.g. cos^2(omega t) for H from H; 0 below NULL_PROBABILITY."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError("t must be finite and nonnegative")
-    return float(_joint_table(init, t, t, spec.omega)[outcome.index].sum())
 
 
 def joint_two_time_probability(
@@ -205,23 +168,23 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_SCAN_SAMPLES = 1025
 
 
-def lgi_maximize(x_lo: float, x_hi: float, samples: int = 1025) -> tuple[float, float]:
+def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     """Maximize the closed-form combination on [x_lo, x_hi].
 
-    Dense scan (at least 1024 samples, first maximum wins ties) brackets the
+    Dense scan (1025 points, first maximum wins ties) brackets the
     peak, then golden-section refinement shrinks the bracket below 1e-10 or to ulp(x).
     Returns (x_star, value at x_star). Deterministic by construction.
     """
     if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
         raise ValueError("need x_lo < x_hi")
-    n = max(int(samples), 1024)
-    grid = np.linspace(x_lo, x_hi, n)
+    grid = np.linspace(x_lo, x_hi, _SCAN_SAMPLES)
     values = lgi_functional(grid)
     best = int(np.argmax(values))  # argmax takes the first, hence lowest-x, maximum
     a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, n - 1)])
+    b = float(grid[min(best + 1, _SCAN_SAMPLES - 1)])
 
     h = b - a
     c = a + _INV_PHI_SQ * h

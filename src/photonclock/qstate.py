@@ -77,12 +77,6 @@ def trace_of_product(a, rho) -> complex:
     return complex(np.trace(am @ rm))
 
 
-def states_equal_up_to_phase(a, b, tol: float = 1e-10) -> bool:
-    """Whether two unit vectors agree up to a global unit-modulus factor."""
-    overlap = abs(complex(np.vdot(np.asarray(a, complex), np.asarray(b, complex))))
-    return overlap >= 1.0 - tol
-
-
 class ValidationResult(NamedTuple):
     ok: bool
     violation: float

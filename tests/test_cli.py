@@ -152,6 +152,13 @@ class TestLgiScan:
         assert rc == 3
         assert "integrity" in err
 
+    def test_nan_from_the_engine_is_an_integrity_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "lgi_functional_engine", lambda x: np.full(np.shape(x), math.nan))
+        rc, out, err = run_to_text(capsys, ["lgi-scan", "--x-steps", "2"])
+        assert rc == 3
+        assert out == ""
+        assert f"engine and closed form disagree at x={math.pi / 2!r}: nan vs" in err
+
     def test_maximizer_is_cross_checked(self, capsys, monkeypatch):
         # an engine that is right on the grid and wrong anywhere else
         grid = np.linspace(0.0, math.pi, 5)
@@ -199,17 +206,22 @@ class TestConditionalCommands:
         assert pairs == [(lc, lr) for lc in grid for lr in grid]
 
     @pytest.mark.parametrize(
-        "command, index, where",
-        [("cond-surface", 5, "lambda_c=0.5, lambda_r=1.0"), ("cond-slice", 1, "lambda_c=0.5, lambda_r=0.5")],
+        "command, index, where, error",
+        [
+            ("cond-surface", 5, "lambda_c=0.5, lambda_r=1.0", 1e-6),
+            ("cond-slice", 1, "lambda_c=0.5, lambda_r=0.5", 1e-6),
+            ("cond-surface", 5, "lambda_c=0.5, lambda_r=1.0", math.nan),
+            ("cond-slice", 1, "lambda_c=0.5, lambda_r=0.5", math.nan),
+        ],
     )
-    def test_integrity_failure_names_the_point(self, capsys, monkeypatch, command, index, where):
-        # a conditional that is off the closed form at one grid point only
+    def test_integrity_failure_names_the_point(self, capsys, monkeypatch, command, index, where, error):
+        # a conditional that is off the closed form, or NaN, at one grid point only
         real = cli.conditional_probability
 
         def off_at_one_point(query, spec, quad):
             values = real(query, spec, quad)
             if query.state_kind is cli.StateKind.TIME_DEPENDENT:
-                values[index] += 1e-6
+                values[index] += error
             return values
 
         monkeypatch.setattr(cli, "conditional_probability", off_at_one_point)

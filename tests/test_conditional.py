@@ -1,4 +1,4 @@
-"""Conditional readout probabilities and the period-average machinery."""
+"""Conditional readout probabilities and the stationary state."""
 
 import itertools
 import math
@@ -23,16 +23,12 @@ from photonclock import (
     entanglement_advantage,
     global_hamiltonian,
     joint_effect,
-    ket,
-    period_average,
-    product_state_phase,
-    projector,
     stationary_state,
-    tensor_product,
-    trace_of_product,
     unsharp_effects,
     wd_residual,
 )
+from photonclock.dynamics import product_state_phase
+from photonclock.qstate import ket, projector, tensor_product, trace_of_product
 
 UNIT = ClockSpec(1.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -60,46 +56,6 @@ class TestQuadratureSpec:
         for panels in (0, -2, 2, 4, 7, 4096.0):
             with pytest.raises(ValueError):
                 QuadratureSpec(panels)
-
-
-class TestPeriodAverage:
-    def test_squared_cosine(self):
-        value = period_average(lambda t: np.cos(t) ** 2, UNIT)
-        assert value == pytest.approx(0.5, abs=1e-14)
-
-    def test_fourth_power_cosine(self):
-        value = period_average(lambda t: np.cos(t) ** 4, UNIT)
-        assert value == pytest.approx(3.0 / 8.0, abs=1e-14)
-
-    def test_mixed_quadratic(self):
-        value = period_average(lambda t: (np.sin(t) * np.cos(t)) ** 2, UNIT)
-        assert value == pytest.approx(1.0 / 8.0, abs=1e-14)
-
-    def test_scalar_only_callable_falls_back(self):
-        # math.cos refuses arrays, forcing the pointwise path
-        value = period_average(lambda t: math.cos(t) ** 2, UNIT)
-        assert value == pytest.approx(0.5, abs=1e-14)
-
-    def test_constant(self):
-        assert period_average(lambda t: np.full_like(t, 0.7), UNIT) == pytest.approx(
-            0.7, abs=1e-13
-        )
-
-    @given(st.floats(min_value=0.2, max_value=9.0))
-    def test_frequency_drops_out_of_harmonic_averages(self, omega):
-        spec = ClockSpec(omega)
-        value = period_average(lambda t: np.cos(omega * t) ** 2, spec)
-        assert value == pytest.approx(0.5, abs=1e-12)
-
-    def test_panel_refinement_is_converged(self):
-        coarse = period_average(lambda t: np.cos(t) ** 4, UNIT, QuadratureSpec(64))
-        fine = period_average(lambda t: np.cos(t) ** 4, UNIT, QuadratureSpec(8192))
-        assert abs(coarse - fine) <= 1e-13
-
-    def test_overflowing_period_is_rejected(self):
-        # 2*pi/omega is inf for a subnormal omega; averaging over it is meaningless
-        with pytest.raises(ValueError, match=r"period .* = inf .* omega = 1e-310"):
-            period_average(lambda t: np.cos(t) ** 2, ClockSpec(1e-310))
 
 
 class TestStationaryState:

@@ -63,7 +63,6 @@ class TestGravitonCounting:
 
 class TestSpin:
     def test_half_integer_storage_is_exact(self):
-        assert Spin(1).j == 0.5
         assert Spin(1).twice_j == 1
         assert Spin.from_j(0.5) == Spin(1)
         assert Spin.from_j(2) == Spin(4)

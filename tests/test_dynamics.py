@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from photonclock import (
     ClockSpec,
     global_hamiltonian,
-    ket,
-    product_state_at,
-    product_state_phase,
     propagator,
     single_photon_hamiltonian,
     wd_residual,
 )
+from photonclock.dynamics import product_state_phase
+from photonclock.qstate import ket
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 EVEN_PAIR = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -24,9 +23,6 @@ frequencies = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 
 
 class TestClockSpec:
-    def test_period(self):
-        assert ClockSpec(omega=2.0).period == pytest.approx(np.pi, abs=1e-15)
-
     def test_rejects_bad_frequency(self):
         for omega in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
@@ -76,10 +72,7 @@ class TestGlobalHamiltonian:
 class TestPropagator:
     def test_identity_at_zero_time(self):
         h = single_photon_hamiltonian(ClockSpec(1.0))
-        for method in ("closed", "series", "auto"):
-            np.testing.assert_allclose(
-                propagator(h, 0.0, method=method), np.eye(2), atol=1e-15
-            )
+        np.testing.assert_allclose(propagator(h, 0.0), np.eye(2), atol=1e-15)
 
     def test_quarter_turn_sends_h_to_minus_v(self):
         h = single_photon_hamiltonian(ClockSpec(1.0))
@@ -96,28 +89,9 @@ class TestPropagator:
             propagator(h, t), np.array([[c, s], [-s, c]]), atol=1e-12
         )
 
-    def test_closed_route_rejects_anisotropic_square(self):
-        h = global_hamiltonian(ClockSpec(1.0))
-        with pytest.raises(ValueError):
-            propagator(h, 1.0, method="closed")
-
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(ValueError):
             propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-    def test_rejects_unknown_method(self):
-        h = single_photon_hamiltonian(ClockSpec(1.0))
-        with pytest.raises(ValueError):
-            propagator(h, 1.0, method="pade")
-
-    def test_closed_and_series_agree_on_100_random_times(self):
-        rng = np.random.default_rng(7)
-        spec = ClockSpec(1.0)
-        h = single_photon_hamiltonian(spec)
-        for t in rng.uniform(0.0, 10.0 * spec.period, size=100):
-            a = propagator(h, t, method="closed")
-            b = propagator(h, t, method="series")
-            assert np.max(np.abs(a - b)) <= 1e-12
 
     @given(times, frequencies)
     def test_unitary_single_photon(self, t, omega):
@@ -133,7 +107,7 @@ class TestPropagator:
 
     @given(times)
     def test_unitary_two_photon_series(self, t):
-        u = propagator(global_hamiltonian(ClockSpec(1.0)), t, method="series")
+        u = propagator(global_hamiltonian(ClockSpec(1.0)), t)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-11)
 
     def test_two_photon_series_matches_spectral_oracle(self):
@@ -142,9 +116,7 @@ class TestPropagator:
         evals, evecs = np.linalg.eigh(h)
         for t in (0.3, 1.1, 5.0):
             oracle = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
-            np.testing.assert_allclose(
-                propagator(h, t, method="series"), oracle, atol=1e-12
-            )
+            np.testing.assert_allclose(propagator(h, t), oracle, atol=1e-12)
 
 
 class TestIntertwinedConstraint:
@@ -202,22 +174,21 @@ class TestProductState:
 
     @given(times, frequencies)
     def test_unit_norm(self, t, omega):
-        psi = product_state_at(t, ClockSpec(omega))
+        psi = product_state_phase(omega * t)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
     @given(times)
-    def test_periodicity(self, t):
-        spec = ClockSpec(1.0)
-        a = product_state_at(t, spec)
-        b = product_state_at(t + spec.period, spec)
+    def test_periodicity(self, theta):
+        a = product_state_phase(theta)
+        b = product_state_phase(theta + 2.0 * np.pi)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_matches_two_photon_propagation_of_hv(self):
         spec = ClockSpec(1.4)
         h = global_hamiltonian(spec)
         rng = np.random.default_rng(11)
-        for t in rng.uniform(0.0, 3.0 * spec.period, size=25):
-            via_propagator = propagator(h, t, method="series") @ ket("HV")
+        for t in rng.uniform(0.0, 3.0 * 2.0 * np.pi / spec.omega, size=25):
+            via_propagator = propagator(h, t) @ ket("HV")
             np.testing.assert_allclose(
-                product_state_at(t, spec), via_propagator, atol=1e-12
+                product_state_phase(spec.omega * t), via_propagator, atol=1e-12
             )

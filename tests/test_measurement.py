@@ -10,16 +10,13 @@ from photonclock import (
     NumericalIntegrityError,
     Outcome,
     SharpnessPair,
-    Subsystem,
     born_probability,
-    dichotomic_observable,
     joint_effect,
-    ket,
     luders_collapse,
-    projector,
-    tensor_product,
     unsharp_effects,
 )
+from photonclock.measurement import dichotomic_observable
+from photonclock.qstate import Subsystem, ket, projector, tensor_product
 
 sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from photonclock import (
+from photonclock.qstate import (
     Subsystem,
     ket,
     projector,
-    states_equal_up_to_phase,
     tensor_product,
     trace_of_product,
     validate,
@@ -129,20 +128,6 @@ class TestTraceOfProduct:
         lhs = trace_of_product(a, rho)
         rhs = trace_of_product(a[np.ix_(p, p)], rho[np.ix_(p, p)])
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestPhaseComparison:
-    @given(state_vectors(4), st.floats(0.0, 2.0 * np.pi))
-    def test_global_phase_ignored(self, psi, phase):
-        assert states_equal_up_to_phase(psi, np.exp(1j * phase) * psi)
-
-    def test_orthogonal_states_differ(self):
-        assert not states_equal_up_to_phase(ket("HV"), ket("VH"))
-
-    def test_small_admixture_differs(self):
-        a = ket("HV")
-        b = _normalize(ket("HV") + 0.1 * ket("VH"))
-        assert not states_equal_up_to_phase(a, b)
 
 
 class TestValidate:
