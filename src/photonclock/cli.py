@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -212,7 +213,7 @@ def cmd_lgi_scan(config: RunConfig) -> int:
     closed = lgi_functional(points)
     values = closed.copy()  # the sequential schedule degenerates at zero gap
     gaps = np.flatnonzero(points > 0.0)
-    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~1 kB a point
+    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.9 kB a point
         block = gaps[lo : lo + BLOCK_ROWS]
         values[block] = lgi_functional_engine(points[block])
     worst = int(np.argmax(np.abs(values - closed)))
@@ -397,7 +398,13 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{name: value for name, value in vars(args).items() if name in fields})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    Parsing leaves it unchanged, and each handler looks up its cmd_* function
+    when it runs, not when the tree is built.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
     common.add_argument("--out", dest="output_path", metavar="OUT", default=RunConfig.output_path,

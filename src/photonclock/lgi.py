@@ -69,23 +69,26 @@ class LgiSchedule:
 
 
 def _rotation(phase) -> np.ndarray:
-    """exp(-i h t) of the one-photon generator at phase omega*t, batched to shape (..., 2, 2)."""
+    """exp(-i h t) of the one-photon generator at phase omega*t, batched to shape (2, 2, ...)."""
     c, s = np.cos(phase), np.sin(phase)
-    return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)
+    return np.array([[c, s], [-s, c]])
 
 
 def _joint_table(init: InitialCondition, t1, t2, omega: float) -> np.ndarray:
     """P(o1 at t1, o2 at t2) at [o1.index, o2.index, ...]; a null first outcome gives 0.
 
+    The size-2 component axes come first and the batch axes last, so each
+    einsum's inner loop runs over the contiguous batch.
     Trusted: callers have checked 0 <= t1 <= t2, which broadcast together.
     """
-    psi = _rotation(omega * t1) @ init.clock_ket.real
-    projected = np.einsum("aij,...j->a...i", _PROJECTORS, psi)
-    p1 = np.einsum("a...i,a...i->a...", projected, projected)
+    t1, t2 = np.broadcast_arrays(t1, t2)  # one batch shape for every temporary
+    psi = np.einsum("ij...,j->i...", _rotation(omega * t1), init.clock_ket.real)
+    projected = np.einsum("aij,j...->ai...", _PROJECTORS, psi)
+    p1 = np.einsum("ai...,ai...->a...", projected, projected)
     live = p1 >= NULL_PROBABILITY
-    post = projected / np.sqrt(np.where(live, p1, 1.0))[..., None]
-    evolved = np.einsum("...ij,a...j->a...i", _rotation(omega * (t2 - t1)), post)
-    p2 = np.einsum("bij,a...i,a...j->ab...", _PROJECTORS, evolved, evolved)
+    post = projected / np.sqrt(np.where(live, p1, 1.0))[:, None]
+    evolved = np.einsum("ij...,aj...->ai...", _rotation(omega * (t2 - t1)), post)
+    p2 = np.einsum("bij,ai...,aj...->ab...", _PROJECTORS, evolved, evolved)
     return np.where(live, p1, 0.0)[:, None] * p2
 
 

@@ -1,4 +1,9 @@
+import os
+
 import hypothesis
 
 hypothesis.settings.register_profile("default", deadline=None)
-hypothesis.settings.load_profile("default")
+# GitHub Actions sets CI: there every run draws the same examples, and a
+# failure prints the blob that reproduces it
+hypothesis.settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+hypothesis.settings.load_profile("ci" if "CI" in os.environ else "default")

@@ -1,10 +1,14 @@
 """End-to-end command line behavior: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import photonclock.cli as cli
 from photonclock.cli import main
@@ -14,6 +18,14 @@ def run_to_text(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_captured(argv):
+    """main(argv) with its own capture, for property tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def data_lines(text):
@@ -347,3 +359,132 @@ class TestFilesAndDeterminism:
         lines_a = data_lines(a.read_text(encoding="utf-8"))
         lines_b = data_lines(b.read_text(encoding="utf-8"))
         assert lines_a == lines_b
+
+
+class TestCachedParser:
+    SEQUENCE = (
+        ["cond-slice", "--grid-n", "many"],
+        ["cond-surface", "--help"],
+        ["lgi-scan", "--x-steps", "8", "--format", "json"],
+        ["lgi-scan", "--x-steps", "8", "--format", "json"],
+    )
+
+    def test_repeated_calls_answer_like_a_first_call(self, capsys):
+        firsts = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            firsts.append(run_to_text(capsys, argv))
+        assert [first[0] for first in firsts] == [1, 0, 0, 0]
+        assert "usage:" in firsts[0][2] and "--grid-n" in firsts[1][1] and '"rows"' in firsts[2][1]
+        cli.build_parser.cache_clear()
+        assert [run_to_text(capsys, argv) for argv in self.SEQUENCE] == firsts
+        assert cli.build_parser.cache_info().misses == 1
+
+
+# argv fuzzing: valid and invalid flags and values on every subcommand. Sizes
+# stay at most 64, or one step past a cap, so a capped size is only ever rejected.
+OUT_FILE, OUT_IN_MISSING_DIR = "<out-file>", "<out-in-missing-dir>"
+VALID = {
+    "--omega": ["1", "2.5", "5e-324", "1e300"],
+    "--format": ["csv", "json"],
+    "--out": [OUT_FILE],
+    "--panels": ["6", "8", "64"],
+    "--grid-n": ["2", "3", "17", "64"],
+    "--x-min": ["0", "0.5", "3"],
+    "--x-max": ["0.5", "4", "10000"],
+    "--x-steps": ["1", "2", "64"],
+    "--dim": ["3", "4", "11", "64"],
+}
+INVALID = {
+    "--omega": ["0", "-1", "nan", "inf", "abc"],
+    "--format": ["yaml"],
+    "--out": [OUT_IN_MISSING_DIR],
+    "--panels": ["7", "4", "0", "-2", str(cli._MAX_PANELS + 2), "x"],
+    "--grid-n": ["1", "0", "-5", str(cli._MAX_GRID_N + 1), "2.5"],
+    "--x-min": ["-1", "nan", "inf", "1e300", "zero"],
+    "--x-max": [repr(float(np.nextafter(cli._X_MAX, np.inf))), "1e5", "nan", "-inf"],
+    "--x-steps": ["0", "-1", str(cli._MAX_X_STEPS + 1), "1.5"],
+    "--dim": ["2", "0", "-1", "four"],
+}
+COMMON = ("--omega", "--format", "--out")
+OWN_FLAGS = {
+    "lgi-scan": COMMON + ("--x-min", "--x-max", "--x-steps"),
+    "cond-surface": COMMON + ("--panels", "--grid-n"),
+    "cond-slice": COMMON + ("--panels", "--grid-n"),
+    "report": COMMON + ("--panels",),
+    "dof": COMMON + ("--dim",),
+    "wd-check": COMMON + ("--panels",),
+}
+stray = st.sampled_from([["--bogus"], ["--help"], ["-h"], ["extra"], ["--x-steps"], ["--dim="], ["frobnicate"]])
+
+
+def _option(flags):
+    """One flag of flags with a value, valid two times in three."""
+    def with_value(flag):
+        valid = st.sampled_from(VALID[flag])
+        return (valid | valid | st.sampled_from(INVALID[flag])).map(lambda value: [flag, value])
+    return st.sampled_from(flags).flatmap(with_value)
+
+
+def _argv(command):
+    """Mostly the command's own flags; now and then a foreign flag or a stray token."""
+    own = _option(OWN_FLAGS.get(command, COMMON))
+    groups = st.lists(own | own | own | _option(sorted(VALID)) | stray, max_size=6)
+    return groups.map(lambda gs: ([command] if command else []) + [token for g in gs for token in g])
+
+
+fuzz_argv = st.sampled_from([*OWN_FLAGS, None]).flatmap(_argv)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(argv=fuzz_argv)
+def test_any_argv_exits_with_a_documented_code(out_dir, argv):
+    paths = {OUT_FILE: str(out_dir / "out"), OUT_IN_MISSING_DIR: str(out_dir / "missing" / "out")}
+    rc, _, err = run_captured([paths.get(token, token) for token in argv])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# --omega across its whole range: every dimensionless row must be the one at omega = 1
+TINY_RUNS = {
+    "lgi-scan": ["lgi-scan", "--x-steps", "4"],
+    "cond-surface": ["cond-surface", "--grid-n", "3"],
+    "cond-slice": ["cond-slice", "--grid-n", "3"],
+    "wd-check": ["wd-check"],
+    "report": ["report"],
+}
+log_uniform_omega = st.floats(math.log(5e-324), math.log(1e300)).map(
+    lambda exponent: min(max(math.exp(exponent), 5e-324), 1e300)
+)
+
+
+@pytest.fixture(scope="module")
+def unit_frequency_rows():
+    rows = {}
+    for command, argv in TINY_RUNS.items():
+        rc, out, _ = run_captured(argv + ["--omega", "1"])
+        assert rc == 0
+        rows[command] = data_lines(out)
+    return rows
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(sorted(TINY_RUNS)), omega=log_uniform_omega)
+@example(command="lgi-scan", omega=5e-324)
+@example(command="cond-surface", omega=5e-324)
+@example(command="cond-slice", omega=1e300)
+@example(command="wd-check", omega=1e300)
+@example(command="report", omega=5e-324)
+def test_frequency_across_decades(unit_frequency_rows, command, omega):
+    rc, out, err = run_captured(TINY_RUNS[command] + ["--omega", repr(omega)])
+    if rc == 1:
+        assert "omega must be finite and positive" in err
+    else:
+        assert rc == 0, err
+        assert f"omega={cli._fmt(omega)}" in out
+        assert data_lines(out) == unit_frequency_rows[command]

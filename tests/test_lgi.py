@@ -232,16 +232,21 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("init", list(InitialCondition))
     def test_joint_table_matches_scalar_chain(self, init):
+        # a 1-D batch, the (4, N) batch that _combination passes, and a scalar t1 against an array t2
         rng = np.random.default_rng(7)
         spec = ClockSpec(1.3)
         t1 = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 63)])
         t2 = t1 + rng.uniform(1e-6, 8.0, 64)
-        table = _joint_table(init, t1, t2, spec.omega)
-        assert table.shape == (2, 2, 64)
-        for o1 in Outcome:
-            for o2 in Outcome:
-                chain = [scalar_chain(init, o1, a, o2, b, spec) for a, b in zip(t1, t2)]
-                assert np.max(np.abs(table[o1.index, o2.index] - chain)) <= 1e-14
+        rows = rng.uniform(0.0, 8.0, (4, 9))
+        batches = ((t1, t2), (rows, rows + rng.uniform(1e-6, 8.0, (4, 9))), (0.4, np.linspace(0.5, 9.0, 17)))
+        for first, second in batches:
+            table = _joint_table(init, first, second, spec.omega)
+            first, second = np.broadcast_arrays(first, second)
+            assert table.shape == (2, 2, *first.shape)
+            for o1 in Outcome:
+                for o2 in Outcome:
+                    chain = [scalar_chain(init, o1, a, o2, b, spec) for a, b in zip(first.flat, second.flat)]
+                    assert np.max(np.abs(table[o1.index, o2.index].ravel() - chain)) <= 1e-14
 
     def test_null_branch_below_threshold_contributes_zero(self):
         # cos^2(pi/2) is about 3.7e-33 in doubles: nonzero, but a null collapse
@@ -254,7 +259,8 @@ class TestBatchedKernel:
         spec = ClockSpec(2.1)
         times = np.linspace(0.0, 10.0, 41)
         series = [propagator(single_photon_hamiltonian(spec), t) for t in times]
-        assert np.max(np.abs(_rotation(spec.omega * times) - np.array(series))) <= 1e-14
+        batch_first = np.moveaxis(_rotation(spec.omega * times), (0, 1), (-2, -1))
+        assert np.max(np.abs(batch_first - np.array(series))) <= 1e-14
 
     @given(first_times, gaps, gaps, gaps, st.floats(min_value=0.1, max_value=10.0), preparations)
     def test_unequal_schedules_sum_pair_correlators(self, t1, g1, g2, g3, omega, init):
