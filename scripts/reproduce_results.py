@@ -38,8 +38,9 @@ def main():
     run(["lgi-scan", "--x-min", "0", "--x-max", str(math.pi / 4),
          "--x-steps", "256", "--out", out("lgi_zoom.csv")] + omega)
 
-    # conditional probabilities over the full sharpness grid, plus the diagonal
+    # conditional probabilities over the full sharpness grid, in CSV and JSON, plus the diagonal
     run(["cond-surface", "--grid-n", "41", "--out", out("cond_surface.csv")] + omega)
+    run(["cond-surface", "--grid-n", "41", "--format", "json", "--out", out("cond_surface.json")] + omega)
     run(["cond-slice", "--grid-n", "101", "--out", out("cond_slice.csv")] + omega)
 
     # headline integer table

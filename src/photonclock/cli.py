@@ -63,6 +63,8 @@ _MAX_PANELS = 2**16
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
 
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -129,19 +131,42 @@ def _meta_object(command: str, items: list[tuple[str, object]]) -> dict:
     return meta
 
 
-def _block_values(columns, lo: int, hi: int) -> list:
-    """Rows lo..hi-1 of the columns as one flat row-major list of Python values."""
-    cells = [np.where(c[lo:hi], "true", "false") if c.dtype == np.bool_ else c[lo:hi] for c in columns]
+def _block_values(columns, specs, lo: int, hi: int) -> tuple[list[str], list]:
+    """Rows lo..hi-1 of the columns: each cell's %-spec, and one flat row-major list of values.
+
+    A column with at most half of its block's values distinct, told apart by
+    their bits so that -0.0 stays apart from 0.0, is formatted once per
+    distinct value by its own spec, and its cells arrive as those strings
+    under "%s". Any other column arrives as Python values under its spec.
+    """
+    block_specs, cells = [], []
+    for column, spec in zip(columns, specs):
+        values = column[lo:hi]
+        if values.dtype == np.bool_:
+            block_specs.append(spec)
+            cells.append(_BOOL_TEXT[values.view(np.uint8)])
+            continue
+        bits = values.view(f"u{values.itemsize}")
+        ordered = np.sort(bits)
+        distinct_count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+        if 2 * distinct_count <= bits.size:
+            distinct, inverse = np.unique(bits, return_inverse=True)  # the inverse indexes the rows as written
+            text = "\0".join([spec] * distinct.size) % tuple(distinct.view(values.dtype).tolist())
+            block_specs.append("%s")
+            cells.append(np.array(text.split("\0"), dtype=object)[inverse])
+        else:
+            block_specs.append(spec)
+            cells.append(values)
     if len({cell.dtype for cell in cells}) > 1:
         cells = [cell.astype(object) for cell in cells]  # no promotion of one column to another's type
-    return np.column_stack(cells).ravel().tolist()
+    return block_specs, np.column_stack(cells).ravel().tolist()
 
 
 def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
     """Write a dataset, BLOCK_ROWS rows at a time, each block by one %-template.
 
-    The text is byte-identical to a CSV with one line per row, or to
-    ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
+    The text is byte-identical to a CSV with one line per row, or, for finite
+    floats, to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
     """
     # bools arrive as the strings true and false; str of a Python float is its repr, as in json
     float_spec = "%.17g" if fmt == "csv" else "%s"
@@ -149,15 +174,19 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     if fmt == "json":
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         handle.write(meta[: -len("\n}")] + ',\n  "rows": [')
-        fields = ",\n".join(f"      {json.dumps(name)}: {spec}" for name, spec in zip(fieldnames, specs))
-        row, tail = ",\n    {\n" + fields + "\n    }", "\n  ]\n}\n"
+        names = [f"      {json.dumps(name)}: " for name in fieldnames]
+        row = lambda cell_specs: (
+            ",\n    {\n" + ",\n".join(name + spec for name, spec in zip(names, cell_specs)) + "\n    }"
+        )
+        tail = "\n  ]\n}\n"
     else:
         handle.write(f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}")
-        row, tail = "\n" + ",".join(specs), "\n"
+        row, tail = lambda cell_specs: "\n" + ",".join(cell_specs), "\n"
     rows = len(columns[0])
     for lo in range(0, rows, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, rows)
-        text = row * (hi - lo) % tuple(_block_values(columns, lo, hi))
+        cell_specs, values = _block_values(columns, specs, lo, hi)
+        text = row(cell_specs) * (hi - lo) % tuple(values)
         handle.write(text[1:] if lo == 0 and fmt == "json" else text)  # no comma before the first row
     handle.write(tail)
 
@@ -405,11 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves it unchanged, and each handler looks up its cmd_* function
     when it runs, not when the tree is built.
     """
-    common = _Parser(add_help=False)
-    common.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
-    common.add_argument("--out", dest="output_path", metavar="OUT", default=RunConfig.output_path,
+    clock = _Parser(add_help=False)
+    clock.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
+
+    output = _Parser(add_help=False)
+    output.add_argument("--out", dest="output_path", metavar="OUT", default=RunConfig.output_path,
                         help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=RunConfig.format)
+    output.add_argument("--format", choices=("csv", "json"), default=RunConfig.format)
 
     quad = _Parser(add_help=False)
     quad.add_argument("--panels", type=int, default=RunConfig.panels,
@@ -427,28 +458,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub = subparsers.add_parser("lgi-scan", parents=[common, window],
+    sub = subparsers.add_parser("lgi-scan", parents=[clock, output, window],
                                 help="Leggett-Garg combination over a phase-gap window")
     sub.set_defaults(handler=lambda args: cmd_lgi_scan(_config_from(args)))
 
-    sub = subparsers.add_parser("cond-surface", parents=[common, quad, grid],
+    sub = subparsers.add_parser("cond-surface", parents=[clock, output, quad, grid],
                                 help="conditional probabilities over the sharpness grid")
     sub.set_defaults(handler=lambda args: cmd_cond_surface(_config_from(args)))
 
-    sub = subparsers.add_parser("cond-slice", parents=[common, quad, grid],
+    sub = subparsers.add_parser("cond-slice", parents=[clock, output, quad, grid],
                                 help="conditional probabilities along lambda_c = lambda_r")
     sub.set_defaults(handler=lambda args: cmd_cond_slice(_config_from(args)))
 
-    sub = subparsers.add_parser("report", parents=[common, quad],
+    sub = subparsers.add_parser("report", parents=[clock, output, quad],
                                 help="run every headline check and summarize")
     sub.set_defaults(handler=lambda args: cmd_report(_config_from(args)))
 
-    sub = subparsers.add_parser("dof", parents=[common],
+    sub = subparsers.add_parser("dof", parents=[output],
                                 help="graviton degrees of freedom in D dimensions")
     sub.add_argument("--dim", type=int, required=True, help="spacetime dimension (>= 3)")
     sub.set_defaults(handler=lambda args: cmd_dof(_config_from(args), args.dim))
 
-    sub = subparsers.add_parser("wd-check", parents=[common, quad],
+    sub = subparsers.add_parser("wd-check", parents=[clock, output, quad],
                                 help="verify the averaged state is annihilated by the generator")
     sub.set_defaults(handler=lambda args: cmd_wd_check(_config_from(args)))
     return parser

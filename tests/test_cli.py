@@ -89,6 +89,11 @@ class TestArgumentHandling:
     def test_dof_rejects_low_dimension(self, capsys):
         assert main(["dof", "--dim", "2"]) == 1
 
+    def test_dof_takes_no_omega(self, capsys):
+        # the table does not depend on a clock, so the flag is not one of dof's
+        assert main(["dof", "--dim", "4", "--omega", "7"]) == 1
+        assert "unrecognized arguments: --omega 7" in capsys.readouterr().err
+
 
 class TestLgiScan:
     def test_small_scan_layout(self, capsys):
@@ -412,7 +417,7 @@ OWN_FLAGS = {
     "cond-surface": COMMON + ("--panels", "--grid-n"),
     "cond-slice": COMMON + ("--panels", "--grid-n"),
     "report": COMMON + ("--panels",),
-    "dof": COMMON + ("--dim",),
+    "dof": ("--format", "--out", "--dim"),
     "wd-check": COMMON + ("--panels",),
 }
 stray = st.sampled_from([["--bogus"], ["--help"], ["-h"], ["extra"], ["--x-steps"], ["--dim="], ["frobnicate"]])

@@ -1,5 +1,6 @@
 """Dataset output: byte identity with the row-by-row renderer, atomic --out, bounded memory."""
 
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +123,101 @@ def test_small_runs_match_the_oracle(tmp_path_factory, command, fmt, grid_n, x_s
         out_file = tmp_path_factory.mktemp("run") / "data"
         assert main(argv + ["--out", str(out_file)]) == 0
         assert out_file.read_bytes() == seen[0].encode("utf-8")
+
+
+# the writer on columns no command produces: repeats, signed zeros, extremes, ints, long bool runs
+def assert_writes_like_the_oracle(columns, fmt):
+    columns = [np.asarray(column) for column in columns]
+    fieldnames = [f"c{index}" for index in range(len(columns))]
+    meta = [("rows", len(columns[0]))]
+    handle = io.StringIO()
+    cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
+    rows = zip(*(column.tolist() for column in columns))
+    assert handle.getvalue() == _render_dataset("test", meta, fieldnames, rows, fmt)
+
+
+def block_specs(column, spec="%.17g"):
+    """The spec a one-column block of the whole column is written with: "%s" once deduplicated."""
+    return cli._block_values([np.asarray(column)], [spec], 0, len(column))[0]
+
+
+FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
+
+
+@FORMATS
+def test_negative_zero_stays_apart_from_zero(fmt):
+    column = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1.0])
+    assert block_specs(column) == ["%s"]
+    assert_writes_like_the_oracle([column, -column], fmt)
+
+
+@FORMATS
+def test_repeated_extremes(fmt):
+    values = [5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308]
+    if fmt == "csv":  # json.dumps writes Infinity and NaN, which are not JSON; no dataset holds them
+        values += [np.inf, -np.inf, np.nan, -np.nan]
+    column = np.repeat(values, 3)
+    assert block_specs(column) == ["%s"]
+    assert_writes_like_the_oracle([column, column[::-1].copy()], fmt)
+
+
+@FORMATS
+@pytest.mark.parametrize("distinct, spec", [(4, "%s"), (5, "%.17g")], ids=["half", "half+1"])
+def test_half_distinct_is_the_threshold(fmt, distinct, spec):
+    column = np.resize(np.arange(distinct) / 3.0, 8)
+    assert block_specs(column) == [spec]
+    assert_writes_like_the_oracle([column], fmt)
+
+
+@FORMATS
+def test_repeats_across_block_edges(monkeypatch, fmt):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    # blocks [a a b b] [b c d e] [e e]: deduplicated, formatted per value, then deduplicated again
+    column = np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
+    assert_writes_like_the_oracle([column, column[::-1].copy(), column > 0.25], fmt)
+
+
+@FORMATS
+def test_long_bool_column(fmt):
+    flags = np.random.default_rng(7).random(300) < 0.5
+    assert_writes_like_the_oracle([np.linspace(0.0, 1.0, 300), flags, ~flags], fmt)
+
+
+@FORMATS
+def test_int_columns(fmt):
+    repeated = np.array([4, 4, 4, 11, 11, -3, -3, 2**62], dtype=np.int64)
+    assert block_specs(repeated, "%d") == ["%s"]
+    assert block_specs(np.arange(8), "%d") == ["%d"]
+    assert_writes_like_the_oracle([repeated, np.arange(8), repeated * 0.5], fmt)
+
+
+def _pooled_column(draw, rows, fmt):
+    kind = draw(st.sampled_from(["float", "int", "bool"]))
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    if kind == "int":
+        pool = st.integers(-(2**63), 2**63 - 1)
+    else:
+        pool = st.floats(allow_nan=fmt == "csv", allow_infinity=fmt == "csv")
+    values = draw(st.lists(pool, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(values), min_size=rows, max_size=rows))
+    return np.array(picks, dtype=np.int64 if kind == "int" else np.float64)
+
+
+@st.composite
+def pooled_columns(draw):
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    rows = draw(st.integers(1, 13))
+    return fmt, [_pooled_column(draw, rows, fmt) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200)
+@given(case=pooled_columns())
+def test_columns_drawn_from_small_pools_match_the_oracle(case):
+    fmt, columns = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        assert_writes_like_the_oracle(columns, fmt)
 
 
 def _failing_second_block(monkeypatch):
