@@ -38,6 +38,9 @@ def main():
     run(["lgi-scan", "--x-min", "0", "--x-max", str(math.pi / 4),
          "--x-steps", "256", "--out", out("lgi_zoom.csv")] + omega)
 
+    # a scan long enough to cross the writer's block edges (2^14 rows each)
+    run(["lgi-scan", "--x-steps", "65536", "--out", out("lgi_dense.csv")] + omega)
+
     # conditional probabilities over the full sharpness grid, in CSV and JSON, plus the diagonal
     run(["cond-surface", "--grid-n", "41", "--out", out("cond_surface.csv")] + omega)
     run(["cond-surface", "--grid-n", "41", "--format", "json", "--out", out("cond_surface.json")] + omega)

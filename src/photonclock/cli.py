@@ -2,10 +2,13 @@
 
 Subcommands: lgi-scan, cond-surface, cond-slice, report, dof, wd-check.
 Datasets are written as CSV (one '#' metadata line, a header line, then
-rows) or JSON ({"meta": ..., "rows": [...]}). Floats are printed with 17
-significant digits and '\n' endings, so identical configurations produce
-byte-identical files. Rows are written in blocks of BLOCK_ROWS, so memory
-stays bounded at every size, and --out is replaced atomically once complete.
+rows) or JSON ({"meta": ..., "rows": [...]}), with '\n' endings, so
+identical configurations produce byte-identical files. CSV floats are the
+exact "%.17g" text, rendered for a whole block at once by numpy array passes;
+a cell those passes cannot vouch for is written by "%.17g" itself. JSON
+floats are Python's repr, as json.dumps writes them. Rows are written in
+blocks of BLOCK_ROWS, so memory stays bounded at every size, and --out is
+replaced atomically once complete.
 Every reported quantity is dimensionless, which makes the data independent
 of --omega.
 
@@ -63,7 +66,57 @@ _MAX_PANELS = 2**16
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)  # JSON
+_BOOL_CELLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # CSV, NUL-padded as every CSV cell
+
+
+def _split(a):
+    """Dekker's split: a == hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _divmod(a, b):
+    quotient = a // b  # np.divmod is several times slower on int64
+    return quotient, a - quotient * b
+
+
+# 10**(16 - k) for k = 16 .. -4, all exact doubles, with their Dekker halves
+_SCALE = np.array([float(10**n) for n in range(21)])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+
+# A float cell is 24 bytes, the widest "%.17g" text, "-2.2250738585072014e-308", NUL-padded.
+# A value written in fixed notation is first laid out as: byte 0 its sign, bytes 1..5 what
+# precedes the digits of a value below 1 ("0." and up to three zeros), byte 6 free, byte 7
+# its lead digit and bytes 8..23 its 16 further digits. For k = floor(log10 |v|) >= 0 the
+# k + 1 integer digits then move one byte left, to 6..6+k, and byte 7+k takes the point.
+# Cells are handled as three 8-byte words that are only copied and masked, never added, so
+# byte order does not matter.
+_CELL = 24
+_DIGITS = np.arange(10**4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+_DIGITS = (_DIGITS + ord("0")).astype(np.uint8)
+_DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()  # the four ASCII digits of 0..9999, one word each
+_TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS[:, ::-1] == ord("0"), axis=1).sum(axis=1, dtype=np.uint8)
+
+
+def _cell_tables():
+    """The first word of a cell by (sign, -k for k < 0, lead digit); and, by
+    (k + 4) * 17 + the index of the last nonzero digit, the bytes a cell keeps,
+    the bytes it takes from its copy shifted one byte left, and its point."""
+    head = np.zeros((2, 5, 10, 8), np.uint8)
+    head[..., 0] = np.array([0, ord("-")])[:, None, None]
+    head[..., 1:6] = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"]).view(np.uint8).reshape(5, 1, 5)
+    head[..., 7] = np.arange(10) + ord("0")
+    k, last, byte = np.arange(-4, 17)[:, None, None], np.arange(17)[:, None], np.arange(_CELL)
+    kept = (byte <= 7 + last) & ~((byte >= 6) & (byte <= 7 + k))
+    moved = np.broadcast_to((byte >= 6) & (byte <= 6 + k), kept.shape)
+    point = (byte == 7 + k) & (k >= 0) & (last > k)
+    words = lambda table, fill: (table.view(np.uint8) * np.uint8(fill)).reshape(-1, _CELL).view(np.uint64)
+    return head.view(np.uint64).ravel(), words(kept, 0xFF), words(moved, 0xFF), words(point, ord("."))
+
+
+_HEADS, _KEPT, _MOVED, _POINT = _cell_tables()
 
 
 @dataclass(frozen=True)
@@ -131,63 +184,157 @@ def _meta_object(command: str, items: list[tuple[str, object]]) -> dict:
     return meta
 
 
-def _block_values(columns, specs, lo: int, hi: int) -> tuple[list[str], list]:
-    """Rows lo..hi-1 of the columns: each cell's %-spec, and one flat row-major list of values.
+def _repeats(values: np.ndarray):
+    """``(distinct, inverse)`` with ``distinct[inverse]`` equal to ``values``, when at most
+    half of the values are distinct; otherwise None.
 
-    A column with at most half of its block's values distinct, told apart by
-    their bits so that -0.0 stays apart from 0.0, is formatted once per
-    distinct value by its own spec, and its cells arrive as those strings
-    under "%s". Any other column arrives as Python values under its spec.
+    Values are told apart by their bits, so -0.0 stays apart from 0.0.
     """
-    block_specs, cells = [], []
-    for column, spec in zip(columns, specs):
-        values = column[lo:hi]
+    bits = values.view(f"u{values.itemsize}")
+    ordered = np.sort(bits)
+    distinct_count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    if 2 * distinct_count > bits.size:
+        return None
+    distinct, inverse = np.unique(bits, return_inverse=True)  # the inverse indexes the rows as written
+    return distinct.view(values.dtype), inverse
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The ``"%.17g" % v`` text of each float, as the NUL-padded rows of an (n, 24) uint8 matrix.
+
+    "%.17g" writes 1e-4 <= |v| < 1e17 in fixed notation, from the correctly
+    rounded 17-digit integer D = round(|v| 10**(16-k)), k = floor(log10 |v|).
+    A Dekker two-product gives |v| 10**(16-k) exactly as product + error, and
+    product >= 1e16 > 2**53 is an even integer, so product + rint(error) is D
+    rounded half to even, as "%.17g" rounds. A D outside [1e16, 1e17) means
+    log10 was off by one or the rounding carried into an 18th digit: that
+    cell, any other nonzero value and any non-finite value is written by
+    "%.17g" itself. Every double below 10**k, -4 <= k <= 16, lies at least
+    8e-17 of 10**k below it, so a log10 rounded up to k gives D < 1e16.
+    """
+    magnitude = np.abs(values)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e17)
+    magnitude = np.where(fixed, magnitude, 1.0)
+    k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
+    power = 16 - k
+    scale, scale_hi, scale_lo = _SCALE.take(power), _SCALE_HI.take(power), _SCALE_LO.take(power)
+    product = magnitude * scale
+    hi, lo = _split(magnitude)
+    error = ((hi * scale_hi - product) + hi * scale_lo + lo * scale_hi) + lo * scale_lo
+    digits = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    fixed &= (digits >= 10**16) & (digits < 10**17)
+    digits = np.where(fixed, digits, 10**16)  # any 17 digits, so that every table index below is in range
+
+    zero = values == 0.0
+    upper, lower = _divmod(digits, 10**8)
+    lead, upper = _divmod(upper, 10**8)
+    lead *= ~zero  # a zero's digits are now a 1 and sixteen 0s: its 1 becomes 0 too
+    words = [*_divmod(upper, 10**4), *_divmod(lower, 10**4)]
+    cells = np.empty((values.size, 3), np.uint64)
+    cells[:, 0] = _HEADS.take((np.signbit(values) * 5 + np.maximum(-k, 0)) * 10 + lead)
+    digit_words = cells[:, 1:].view(np.uint32)
+    for index, word in enumerate(words):
+        digit_words[:, index] = _DIGIT_WORDS.take(word)
+
+    zeros = _TRAILING_ZEROS.take(words[0])
+    for word in words[1:]:
+        zeros = np.where(word == 0, zeros + 4, _TRAILING_ZEROS.take(word))
+    layout = (k + 4) * 17 + 16 - zeros
+    # the integer digits move from this copy, taken before the trailing zeros go, so none of them is lost
+    shifted = np.empty_like(cells)
+    shifted.view(np.uint8).ravel()[:-1] = cells.view(np.uint8).ravel()[1:]
+    cells &= _KEPT.take(layout, axis=0)
+    cells |= shifted & _MOVED.take(layout, axis=0)
+    cells |= _POINT.take(layout, axis=0)
+
+    cells = cells.view(np.uint8)
+    other = ~(fixed | zero)
+    if other.any():
+        text = ["%.17g" % value for value in values[other].tolist()]
+        cells[other] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return cells
+
+
+def _csv_block(columns) -> str:
+    """One block of rows as CSV lines, each led by its '\\n'.
+
+    The rows are assembled in one NUL-padded byte matrix, whose NULs are then
+    dropped. The floats of all float columns go through one _float_cells call.
+    A float column with at most half of its values distinct sends only those,
+    and its rows gather their cells through the inverse.
+    """
+    rows = len(columns[0])
+    widths = [5 if column.dtype == np.bool_ else 20 if column.dtype.kind in "iu" else _CELL for column in columns]
+    starts = np.cumsum([1] + [width + 1 for width in widths])  # each cell after its newline or comma
+    text = bytearray(rows * (starts[-1] - 1))
+    matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
+    matrix[:, 0] = ord("\n")
+    matrix[:, starts[1:-1] - 1] = ord(",")
+    floats, slots = [], []
+    for values, start, width in zip(columns, starts, widths):
+        cells = matrix[:, start : start + width]
         if values.dtype == np.bool_:
-            block_specs.append(spec)
-            cells.append(_BOOL_TEXT[values.view(np.uint8)])
-            continue
-        bits = values.view(f"u{values.itemsize}")
-        ordered = np.sort(bits)
-        distinct_count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-        if 2 * distinct_count <= bits.size:
-            distinct, inverse = np.unique(bits, return_inverse=True)  # the inverse indexes the rows as written
-            text = "\0".join([spec] * distinct.size) % tuple(distinct.view(values.dtype).tolist())
-            block_specs.append("%s")
-            cells.append(np.array(text.split("\0"), dtype=object)[inverse])
+            cells[:] = _BOOL_CELLS.take(values.view(np.uint8), axis=0)
+        elif values.dtype.kind in "iu":
+            cells[:] = values.astype("S20").view(np.uint8).reshape(rows, 20)  # exact for all of int64
         else:
-            block_specs.append(spec)
+            repeats = _repeats(values)
+            floats.append(values if repeats is None else repeats[0])
+            slots.append((cells, None if repeats is None else repeats[1]))
+    if floats:
+        parts = np.split(_float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
+        for (cells, inverse), part in zip(slots, parts):
+            cells[:] = part if inverse is None else part.take(inverse, axis=0)
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _block_values(columns) -> list:
+    """One block of rows as one flat row-major list of the JSON text of each cell's value.
+
+    A column with at most half of its values distinct has each distinct value
+    formatted once, and its cells arrive as those strings. Any other column
+    arrives as Python values, whose str is their JSON text.
+    """
+    cells = []
+    for values in columns:
+        if values.dtype == np.bool_:
+            cells.append(_BOOL_TEXT[values.view(np.uint8)])
+        elif values.dtype.kind == "f" and not np.isfinite(values).all():
+            # json.dumps spells these Infinity, -Infinity and NaN, where str writes inf and nan
+            cells.append(np.array([json.dumps(value) for value in values.tolist()], dtype=object))
+        elif (repeats := _repeats(values)) is not None:
+            distinct, inverse = repeats
+            cells.append(np.array(list(map(str, distinct.tolist())), dtype=object)[inverse])
+        else:
             cells.append(values)
     if len({cell.dtype for cell in cells}) > 1:
         cells = [cell.astype(object) for cell in cells]  # no promotion of one column to another's type
-    return block_specs, np.column_stack(cells).ravel().tolist()
+    return np.column_stack(cells).ravel().tolist()
+
+
+def _blocks(columns):
+    """The columns, BLOCK_ROWS rows at a time."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        yield [column[lo : lo + BLOCK_ROWS] for column in columns]
 
 
 def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
-    """Write a dataset, BLOCK_ROWS rows at a time, each block by one %-template.
+    """Write a dataset, BLOCK_ROWS rows at a time.
 
-    The text is byte-identical to a CSV with one line per row, or, for finite
-    floats, to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
+    The text is byte-identical to a CSV with one line per row and "%.17g"
+    floats, or to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
     """
-    # bools arrive as the strings true and false; str of a Python float is its repr, as in json
-    float_spec = "%.17g" if fmt == "csv" else "%s"
-    specs = [{"b": "%s", "i": "%d"}.get(column.dtype.kind, float_spec) for column in columns]
     if fmt == "json":
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         handle.write(meta[: -len("\n}")] + ',\n  "rows": [')
-        names = [f"      {json.dumps(name)}: " for name in fieldnames]
-        row = lambda cell_specs: (
-            ",\n    {\n" + ",\n".join(name + spec for name, spec in zip(names, cell_specs)) + "\n    }"
-        )
-        tail = "\n  ]\n}\n"
+        row = ",\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in fieldnames) + "\n    }"
+        render, tail = lambda block: row * len(block[0]) % tuple(_block_values(block)), "\n  ]\n}\n"
     else:
         handle.write(f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}")
-        row, tail = lambda cell_specs: "\n" + ",".join(cell_specs), "\n"
-    rows = len(columns[0])
-    for lo in range(0, rows, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, rows)
-        cell_specs, values = _block_values(columns, specs, lo, hi)
-        text = row(cell_specs) * (hi - lo) % tuple(values)
-        handle.write(text[1:] if lo == 0 and fmt == "json" else text)  # no comma before the first row
+        render, tail = _csv_block, "\n"
+    for index, block in enumerate(_blocks(columns)):
+        text = render(block)
+        handle.write(text[1:] if index == 0 and fmt == "json" else text)  # no comma before the first row
     handle.write(tail)
 
 

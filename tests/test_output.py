@@ -96,6 +96,16 @@ def test_block_edges_match_the_oracle(capsys, tmp_path, monkeypatch, oracle, arg
     assert_matches_oracle(capsys, oracle, argv + ["--format", fmt], tmp_path / "data")
 
 
+REAL_BLOCK_RUNS = [["lgi-scan", "--x-steps", "40000"], ["cond-surface", "--grid-n", "150"]]
+
+
+@pytest.mark.parametrize("argv", REAL_BLOCK_RUNS, ids=[argv[0] for argv in REAL_BLOCK_RUNS])
+def test_real_block_edges_match_the_oracle(capsys, tmp_path, oracle, argv):
+    # 40001 and 22500 rows: two full blocks of 2**14 and a partial one, and one of each
+    assert cli.BLOCK_ROWS == 2**14
+    assert_matches_oracle(capsys, oracle, argv, tmp_path / "data.csv")
+
+
 window = st.tuples(
     st.floats(0.0, 1e4, allow_nan=False), st.floats(0.0, 1e4, allow_nan=False)
 ).filter(lambda pair: pair[0] != pair[1]).map(sorted)
@@ -136,9 +146,10 @@ def assert_writes_like_the_oracle(columns, fmt):
     assert handle.getvalue() == _render_dataset("test", meta, fieldnames, rows, fmt)
 
 
-def block_specs(column, spec="%.17g"):
-    """The spec a one-column block of the whole column is written with: "%s" once deduplicated."""
-    return cli._block_values([np.asarray(column)], [spec], 0, len(column))[0]
+def distinct_values(column):
+    """The values a one-column block of the whole column formats, or None when it formats every row."""
+    repeats = cli._repeats(np.asarray(column))
+    return None if repeats is None else repeats[0]
 
 
 FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -147,25 +158,23 @@ FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
 @FORMATS
 def test_negative_zero_stays_apart_from_zero(fmt):
     column = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1.0])
-    assert block_specs(column) == ["%s"]
+    assert distinct_values(column).tobytes() == np.array([0.0, 1.0, -0.0]).tobytes()
     assert_writes_like_the_oracle([column, -column], fmt)
 
 
 @FORMATS
 def test_repeated_extremes(fmt):
-    values = [5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308]
-    if fmt == "csv":  # json.dumps writes Infinity and NaN, which are not JSON; no dataset holds them
-        values += [np.inf, -np.inf, np.nan, -np.nan]
+    values = [5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
     column = np.repeat(values, 3)
-    assert block_specs(column) == ["%s"]
+    assert distinct_values(column) is not None
     assert_writes_like_the_oracle([column, column[::-1].copy()], fmt)
 
 
 @FORMATS
-@pytest.mark.parametrize("distinct, spec", [(4, "%s"), (5, "%.17g")], ids=["half", "half+1"])
-def test_half_distinct_is_the_threshold(fmt, distinct, spec):
+@pytest.mark.parametrize("distinct, deduplicated", [(4, True), (5, False)], ids=["half", "half+1"])
+def test_half_distinct_is_the_threshold(fmt, distinct, deduplicated):
     column = np.resize(np.arange(distinct) / 3.0, 8)
-    assert block_specs(column) == [spec]
+    assert (distinct_values(column) is not None) == deduplicated
     assert_writes_like_the_oracle([column], fmt)
 
 
@@ -186,19 +195,19 @@ def test_long_bool_column(fmt):
 @FORMATS
 def test_int_columns(fmt):
     repeated = np.array([4, 4, 4, 11, 11, -3, -3, 2**62], dtype=np.int64)
-    assert block_specs(repeated, "%d") == ["%s"]
-    assert block_specs(np.arange(8), "%d") == ["%d"]
+    assert sorted(distinct_values(repeated).tolist()) == [-3, 4, 11, 2**62]
+    assert distinct_values(np.arange(8)) is None
     assert_writes_like_the_oracle([repeated, np.arange(8), repeated * 0.5], fmt)
 
 
-def _pooled_column(draw, rows, fmt):
+def _pooled_column(draw, rows):
     kind = draw(st.sampled_from(["float", "int", "bool"]))
     if kind == "bool":
         return np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
     if kind == "int":
         pool = st.integers(-(2**63), 2**63 - 1)
     else:
-        pool = st.floats(allow_nan=fmt == "csv", allow_infinity=fmt == "csv")
+        pool = st.floats()
     values = draw(st.lists(pool, min_size=1, max_size=4))
     picks = draw(st.lists(st.sampled_from(values), min_size=rows, max_size=rows))
     return np.array(picks, dtype=np.int64 if kind == "int" else np.float64)
@@ -208,7 +217,7 @@ def _pooled_column(draw, rows, fmt):
 def pooled_columns(draw):
     fmt = draw(st.sampled_from(["csv", "json"]))
     rows = draw(st.integers(1, 13))
-    return fmt, [_pooled_column(draw, rows, fmt) for _ in range(draw(st.integers(1, 4)))]
+    return fmt, [_pooled_column(draw, rows) for _ in range(draw(st.integers(1, 4)))]
 
 
 @settings(max_examples=200)
@@ -220,18 +229,81 @@ def test_columns_drawn_from_small_pools_match_the_oracle(case):
         assert_writes_like_the_oracle(columns, fmt)
 
 
+# the CSV float formatter, cell by cell against "%.17g" % v
+def assert_formats_like_printf(values):
+    values = np.asarray(values, dtype=np.float64)
+    cells = cli._float_cells(values)
+    lines = np.concatenate([cells, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+    text = lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]  # as the writer drops NULs
+    expected = ["%.17g" % value for value in values.tolist()]
+    wrong = [(value, got, want) for value, got, want in zip(values.tolist(), text, expected) if got != want]
+    assert len(text) == len(expected) and not wrong, wrong[:10]
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_formatter_on_any_floats(values):
+    assert_formats_like_printf(values)
+
+
+def test_formatter_on_random_bit_patterns():
+    rng = np.random.default_rng(20161017)
+    for _ in range(32):  # 2**20 patterns, a few MB at a time
+        patterns = rng.integers(0, 2**64, size=2**15, dtype=np.uint64, endpoint=False)
+        # and the same mantissas with exponents around the fixed-notation range [1e-4, 1e17)
+        exponents = rng.integers(1023 - 17, 1023 + 60, size=patterns.size, dtype=np.uint64)
+        near = (patterns & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponents << np.uint64(52))
+        assert_formats_like_printf(np.concatenate([patterns, near]).view(np.float64))
+
+
+def test_formatter_on_exact_ties():
+    # odd / 2**j with 18 significant digits ending in 5: "%.17g" rounds these half to even
+    rng = np.random.default_rng(5)
+    ties = []
+    for exponent in range(-4, 16):  # 10**exponent <= value < 10**(exponent + 1)
+        j = 17 - exponent  # so that value * 10**j = numerator * 5**j has 18 digits
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        odd = rng.integers(lo // 2, (hi - 1) // 2, size=500) * 2 + 1
+        for numerator in odd.tolist():
+            digits = str(numerator * 5**j)
+            assert len(digits) == 18 and digits.endswith("5")
+            ties.append(math.ldexp(numerator, -j))
+    ties = np.array(ties)
+    assert_formats_like_printf(np.concatenate([ties, -ties]))
+
+
+def test_formatter_at_powers_of_ten():
+    powers = np.array([float(f"1e{exponent}") for exponent in range(-6, 19)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert_formats_like_printf(np.concatenate([values, -values]))
+
+
+def test_formatter_on_zeros_extremes_and_integers():
+    # integer-valued floats keep the zeros of their integer part
+    values = np.array([0.0, 5e-324, 1.7976931348623157e308, 1e15, 7996987319622930.0, 1e16, 120.0, 1.25e17])
+    assert_formats_like_printf(np.concatenate([values, -values]))
+
+
+def test_formatter_does_not_trust_log10(monkeypatch):
+    # a decade too high or too low leaves D outside [1e16, 1e17), and "%.17g" writes that cell
+    values = np.concatenate([10.0 ** np.arange(-4, 17), np.linspace(1e-4, 1e3, 300), [9.999999999999999e16]])
+    real = np.log10
+    monkeypatch.setattr(cli.np, "log10", lambda x: real(x) + np.arange(x.size) % 3 - 1)
+    assert_formats_like_printf(np.concatenate([values, -values]))
+
+
 def _failing_second_block(monkeypatch):
+    # both formats take their blocks from cli._blocks
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
-    real = cli._block_values
-    calls = []
+    real = cli._blocks
 
-    def block_values(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise OSError("no space left on device")
-        return real(*args)
+    def blocks(columns):
+        for index, block in enumerate(real(columns)):
+            if index == 1:
+                raise OSError("no space left on device")
+            yield block
 
-    monkeypatch.setattr(cli, "_block_values", block_values)
+    monkeypatch.setattr(cli, "_blocks", blocks)
 
 
 def test_failure_mid_stream_leaves_no_file(capsys, tmp_path, monkeypatch):
