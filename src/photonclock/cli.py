@@ -45,6 +45,7 @@ from .conditional import (
 from .dof import Spin, massive_graviton_dof, massless_graviton_dof, spin_multiplicity
 from .dynamics import ClockSpec, global_hamiltonian, wd_residual
 from .errors import NumericalIntegrityError
+from .lgi import X_MAX as _X_MAX
 from .lgi import lgi_functional, lgi_functional_engine, lgi_maximize, violates_classical_bound
 from .measurement import SharpnessPair
 
@@ -55,10 +56,8 @@ WD_TARGET = 1e-12
 C_MAX_EXPECTED = 2.0 * math.sqrt(2.0)
 X_STAR_EXPECTED = math.pi / 8.0
 
-# the input envelope: past _X_MAX the engine's schedule times k*x/omega round
-# at ulp(3x) and its deviation from the closed form grows with x; the caps
-# keep a huge size a usage error instead of a MemoryError
-_X_MAX = 1e4
+# the input envelope: x-max is capped at the engine's domain, lgi.X_MAX; the
+# size caps keep a huge size a usage error instead of a MemoryError
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
 _MAX_PANELS = 2**16
@@ -389,7 +388,7 @@ def cmd_lgi_scan(config: RunConfig) -> int:
     closed = lgi_functional(points)
     values = closed.copy()  # the sequential schedule degenerates at zero gap
     gaps = np.flatnonzero(points > 0.0)
-    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.9 kB a point
+    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
         block = gaps[lo : lo + BLOCK_ROWS]
         values[block] = lgi_functional_engine(points[block])
     worst = int(np.argmax(np.abs(values - closed)))

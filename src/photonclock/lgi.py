@@ -5,9 +5,15 @@ of times. Joint statistics follow the evolve / collapse / evolve pattern:
 unitary evolution to the first time, projective collapse on the recorded
 outcome, evolution over the gap, Born rule at the second time.
 
-One private kernel runs that pipeline batched over arrays of times, and each
-public function validates its inputs and calls it once. The validated chain of
-propagator, Lüders collapse and Born rule is the kernel's test oracle.
+The readout is sharp in the H/V basis, so the collapse on a first outcome o1
+leaves the basis ket |o1>, whatever the state was, and the joint probability
+is a product of two squared rotation entries:
+
+    P(o1 at t1, o2 at t2) = <o1|U(t1)|psi0>^2 * <o2|U(t2 - t1)|o1>^2.
+
+One private kernel evaluates that product batched over arrays of times, and
+each public function validates its inputs and calls it once. The validated
+chain of propagator, Lüders collapse and Born rule is the kernel's test oracle.
 
 For measurements at four equally spaced times with phase gap x = omega*dt,
 the three-plus-one correlator combination
@@ -26,13 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ClockSpec
-from .measurement import NULL_PROBABILITY, Outcome, unsharp_effects
+from .measurement import NULL_PROBABILITY, Outcome
 from .qstate import ket
 
 CLASSICAL_BOUND = 2.0
 
-# the sharp projectors and the Q eigenvalues, stacked by Outcome.index
-_PROJECTORS = np.stack(unsharp_effects(1.0)).real
+# the engine's domain: past X_MAX its schedule times k*x/omega round at
+# ulp(3x), and its deviation from the closed form grows with x (2e-10 at 1e6)
+X_MAX = 1e4
+
+# the Q eigenvalues, stacked by Outcome.index
 _Q = np.array([Outcome.H.value, Outcome.V.value], dtype=float)
 
 
@@ -77,25 +86,22 @@ def _rotation(phase) -> np.ndarray:
 def _joint_table(init: InitialCondition, t1, t2, omega: float) -> np.ndarray:
     """P(o1 at t1, o2 at t2) at [o1.index, o2.index, ...]; a null first outcome gives 0.
 
-    The size-2 component axes come first and the batch axes last, so each
-    einsum's inner loop runs over the contiguous batch.
+    The first factor is the squared amplitude of o1 in the evolved
+    preparation, the second the squared rotation entry <o2|U(t2 - t1)|o1>.
+    The size-2 component axes come first and the batch axes last.
     Trusted: callers have checked 0 <= t1 <= t2, which broadcast together.
     """
     t1, t2 = np.broadcast_arrays(t1, t2)  # one batch shape for every temporary
-    psi = np.einsum("ij...,j->i...", _rotation(omega * t1), init.clock_ket.real)
-    projected = np.einsum("aij,j...->ai...", _PROJECTORS, psi)
-    p1 = np.einsum("ai...,ai...->a...", projected, projected)
-    live = p1 >= NULL_PROBABILITY
-    post = projected / np.sqrt(np.where(live, p1, 1.0))[:, None]
-    evolved = np.einsum("ij...,aj...->ai...", _rotation(omega * (t2 - t1)), post)
-    p2 = np.einsum("bij,ai...,aj...->ab...", _PROJECTORS, evolved, evolved)
-    return np.where(live, p1, 0.0)[:, None] * p2
+    p1 = np.einsum("ij...,j->i...", _rotation(omega * t1), init.clock_ket.real) ** 2
+    first = np.where(p1 >= NULL_PROBABILITY, p1, 0.0)
+    transfer = _rotation(omega * (t2 - t1)) ** 2  # symmetric: [o2, o1] is [o1, o2]
+    return first[:, None] * transfer
 
 
 def _combination(init: InitialCondition, times: np.ndarray, omega: float) -> np.ndarray:
     """C12 + C23 + C34 - C14 for schedules stacked on the first axis of times."""
     table = _joint_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], omega)
-    c12, c23, c34, c14 = np.einsum("a,ab...,b->...", _Q, table, _Q)
+    c12, c23, c34, c14 = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
     return c12 + c23 + c34 - c14
 
 
@@ -149,6 +155,10 @@ def lgi_functional_engine(
 ) -> float | np.ndarray:
     """The same combination evaluated by the collapse-and-evolve engine, for a scalar or an array.
 
+    Domain: every gap in 0 < x <= X_MAX = 1e4, with x / omega a finite time;
+    there the engine stays within 1e-10 of the closed form (3.6e-12 at worst
+    on a dense scan of (0, 1e4]). Anything else raises ValueError.
+
     The quantity is dimensionless, so by default it is evaluated on a unit
     frequency clock, which makes the result independent of any configured
     omega down to the last bit.
@@ -158,6 +168,8 @@ def lgi_functional_engine(
         dt = np.divide(x, spec.omega)
         if not np.all((dt > 0.0) & np.isfinite(3.0 * dt)):
             raise ValueError("phase gap x must be positive, with x / omega a finite time")
+    if not np.all(np.less_equal(x, X_MAX)):
+        raise ValueError(f"phase gap x must be at most X_MAX = {X_MAX:g}, the engine's accuracy envelope")
     value = _combination(init, np.multiply.outer(np.arange(4.0), dt), spec.omega)  # 0, dt, 2 dt, 3 dt
     return float(value) if value.ndim == 0 else value
 
@@ -182,9 +194,15 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     Dense scan (1025 points, first maximum wins ties) brackets the
     peak, then golden-section refinement shrinks the bracket below 1e-10 or to ulp(x).
     Returns (x_star, value at x_star). Deterministic by construction.
+
+    Domain: finite x_lo < x_hi with both |x_lo| and |x_hi| at most
+    sys.float_info.max / 6, past which cos(6x) overflows; anything else
+    raises ValueError.
     """
     if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
         raise ValueError("need x_lo < x_hi")
+    if not math.isfinite(6.0 * max(abs(x_lo), abs(x_hi))):  # cos(6x) would see inf
+        raise ValueError("window must lie within |x| <= sys.float_info.max / 6, where 6x stays finite")
     grid = np.linspace(x_lo, x_hi, _SCAN_SAMPLES)
     values = lgi_functional(grid)
     best = int(np.argmax(values))  # argmax takes the first, hence lowest-x, maximum

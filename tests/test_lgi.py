@@ -1,6 +1,7 @@
 """Sequential statistics and the four-time Leggett-Garg combination."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from photonclock import (
     unsharp_effects,
     violates_classical_bound,
 )
-from photonclock.lgi import _joint_table, _rotation
+from photonclock.lgi import X_MAX, _joint_table, _rotation
 from photonclock.qstate import projector
 
 UNIT = ClockSpec(1.0)
@@ -255,6 +256,20 @@ class TestBatchedKernel:
             assert joint_two_time_probability(*args) == 0.0
             assert scalar_chain(*args) == 0.0
 
+    @pytest.mark.parametrize("init", list(InitialCondition))
+    def test_null_rows_in_a_batch_are_exactly_zero(self, init):
+        # at phase pi/2 the prepared polarization has |cos|^2 about 3.7e-33: a null first outcome
+        null = Outcome.H if init is InitialCondition.START_H else Outcome.V
+        first = np.array([np.pi / 2, 0.3, np.pi / 2, 2.0, 0.0])
+        second = first + np.array([1.0, 0.7, 2.5, 0.1, 1.2])
+        table = _joint_table(init, first, second, UNIT.omega)
+        is_null = first == np.pi / 2
+        assert np.all(table[null.index][:, is_null] == 0.0)
+        for o1 in Outcome:
+            for o2 in Outcome:
+                chain = [scalar_chain(init, o1, a, o2, b, UNIT) for a, b in zip(first, second)]
+                assert np.max(np.abs(table[o1.index, o2.index] - chain)) <= 1e-14
+
     def test_rotation_is_the_series_propagator(self):
         spec = ClockSpec(2.1)
         times = np.linspace(0.0, 10.0, 41)
@@ -282,6 +297,18 @@ class TestBatchedKernel:
     def test_engine_rejects_any_nonpositive_gap(self):
         for x in (0.0, -0.3, np.nan, np.inf, [0.2, 0.0]):
             with pytest.raises(ValueError):
+                lgi_functional_engine(x)
+
+    def test_engine_holds_to_the_edge_of_its_domain(self):
+        assert X_MAX == 1e4
+        assert abs(lgi_functional_engine(X_MAX) - lgi_functional(X_MAX)) <= 1e-10
+        xs = np.linspace(X_MAX - 10.0, X_MAX, 4097)
+        assert np.max(np.abs(lgi_functional_engine(xs) - lgi_functional(xs))) <= 1e-10
+
+    def test_engine_rejects_a_gap_past_its_domain(self):
+        # at 1e6 the engine is already 2e-10 off the closed form
+        for x in (float(np.nextafter(X_MAX, np.inf)), 1e6, [0.5, 1e6]):
+            with pytest.raises(ValueError, match="X_MAX"):
                 lgi_functional_engine(x)
 
     def test_engine_rejects_a_gap_whose_time_step_overflows(self):
@@ -369,3 +396,18 @@ class TestMaximizer:
 
     def test_deterministic(self):
         assert lgi_maximize(0.0, np.pi) == lgi_maximize(0.0, np.pi)
+
+    @pytest.mark.parametrize("window", [(0.0, 1e308), (-1.7e308, 1.7e308)])
+    def test_window_where_cos_6x_overflows_rejected(self, window):
+        # these windows used to return (3.0e307, nan) and (nan, nan) with RuntimeWarnings alone
+        with pytest.raises(ValueError, match="float_info.max / 6"):
+            lgi_maximize(*window)
+
+    def test_widest_accepted_window_stays_finite(self):
+        top = sys.float_info.max / 6.0
+        while not math.isfinite(6.0 * top):  # the quotient may round up past the last finite 6x
+            top = math.nextafter(top, 0.0)
+        x_star, c_star = lgi_maximize(-top, top)
+        assert math.isfinite(x_star) and math.isfinite(c_star)
+        with pytest.raises(ValueError):
+            lgi_maximize(0.0, math.nextafter(top, math.inf))

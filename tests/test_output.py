@@ -379,19 +379,20 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert capsys.readouterr().err == "photonclock: out of memory: cannot allocate 1.8 GB\n"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize(
     "argv",
     [["cond-surface", "--grid-n", "1024"], ["lgi-scan", "--x-steps", str(2**20)]],
     ids=["cond-surface", "lgi-scan"],
 )
 def test_edge_of_the_envelope_stays_under_150_mb(tmp_path, argv):
-    # a child of its own: RUSAGE_CHILDREN would also count earlier children
+    # VmHWM, the child's own peak RSS in kB: a forked child's ru_maxrss
+    # starts from the parent's high-water mark, so it would count pytest's too
     script = (
-        "import resource, sys\n"
         "from photonclock.cli import main\n"
         f"assert main({argv + ['--out', str(tmp_path / 'data')]!r}) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
     src = os.path.dirname(os.path.dirname(photonclock.__file__))
     env = dict(os.environ, PYTHONPATH=src)
