@@ -46,6 +46,9 @@ def main():
     run(["cond-surface", "--grid-n", "41", "--format", "json", "--out", out("cond_surface.json")] + omega)
     run(["cond-slice", "--grid-n", "101", "--out", out("cond_slice.csv")] + omega)
 
+    # a surface that crosses a block edge of the writer (22500 rows: a full block and a partial one)
+    run(["cond-surface", "--grid-n", "150", "--out", out("cond_surface_dense.csv")] + omega)
+
     # headline integer table
     for dim in (3, 4, 5):
         run(["dof", "--dim", str(dim), "--out", out(f"dof_{dim}d.csv")])

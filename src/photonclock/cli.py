@@ -6,9 +6,12 @@ rows) or JSON ({"meta": ..., "rows": [...]}), with '\n' endings, so
 identical configurations produce byte-identical files. CSV floats are the
 exact "%.17g" text, rendered for a whole block at once by numpy array passes;
 a cell those passes cannot vouch for is written by "%.17g" itself. JSON
-floats are Python's repr, as json.dumps writes them. Rows are written in
-blocks of BLOCK_ROWS, so memory stays bounded at every size, and --out is
-replaced atomically once complete.
+floats are Python's repr, as json.dumps writes them. A float column is a 1-d
+array, or a factored pair (values, index) that stands for values[index]:
+cond-surface passes its two sharpness axes so, and the writer formats each
+grid value once per block and gathers the cells by the index, never sorting
+those columns. Rows are written in blocks of BLOCK_ROWS, so memory stays
+bounded at every size, and --out is replaced atomically once complete.
 Every reported quantity is dimensionless, which makes the data independent
 of --omega.
 
@@ -254,16 +257,25 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _row_count(column) -> int:
+    """The rows of a column: a 1-d array, or a factored float column ``(values, index)``."""
+    return len(column[1]) if isinstance(column, tuple) else len(column)
+
+
 def _csv_block(columns) -> str:
     """One block of rows as CSV lines, each led by its '\\n'.
 
     The rows are assembled in one NUL-padded byte matrix, whose NULs are then
     dropped. The floats of all float columns go through one _float_cells call.
-    A float column with at most half of its values distinct sends only those,
-    and its rows gather their cells through the inverse.
+    A factored column sends its values, and a float column with at most half
+    of its values distinct sends only those; their rows gather their cells
+    through the index.
     """
-    rows = len(columns[0])
-    widths = [5 if column.dtype == np.bool_ else 20 if column.dtype.kind in "iu" else _CELL for column in columns]
+    rows = _row_count(columns[0])
+    widths = [
+        _CELL if isinstance(column, tuple) else {"b": 5, "i": 20, "u": 20}.get(column.dtype.kind, _CELL)
+        for column in columns
+    ]
     starts = np.cumsum([1] + [width + 1 for width in widths])  # each cell after its newline or comma
     text = bytearray(rows * (starts[-1] - 1))
     matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
@@ -272,7 +284,10 @@ def _csv_block(columns) -> str:
     floats, slots = [], []
     for values, start, width in zip(columns, starts, widths):
         cells = matrix[:, start : start + width]
-        if values.dtype == np.bool_:
+        if isinstance(values, tuple):
+            floats.append(values[0])
+            slots.append((cells, values[1]))
+        elif values.dtype == np.bool_:
             cells[:] = _BOOL_CELLS.take(values.view(np.uint8), axis=0)
         elif values.dtype.kind in "iu":
             cells[:] = values.astype("S20").view(np.uint8).reshape(rows, 20)  # exact for all of int64
@@ -287,23 +302,33 @@ def _csv_block(columns) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each number, as an object array of str."""
+    if np.isfinite(values).all():
+        return np.array(list(map(str, values.tolist())), dtype=object)
+    # json.dumps spells these Infinity, -Infinity and NaN, where str writes inf and nan
+    return np.array([json.dumps(value) for value in values.tolist()], dtype=object)
+
+
 def _block_values(columns) -> list:
     """One block of rows as one flat row-major list of the JSON text of each cell's value.
 
-    A column with at most half of its values distinct has each distinct value
-    formatted once, and its cells arrive as those strings. Any other column
-    arrives as Python values, whose str is their JSON text.
+    A factored column has each of its values formatted once, and a column with
+    at most half of its values distinct each distinct value; their cells
+    arrive as those strings. Any other column arrives as Python values, whose
+    str is their JSON text.
     """
     cells = []
     for values in columns:
-        if values.dtype == np.bool_:
+        if isinstance(values, tuple):
+            cells.append(_json_floats(values[0])[values[1]])
+        elif values.dtype == np.bool_:
             cells.append(_BOOL_TEXT[values.view(np.uint8)])
         elif values.dtype.kind == "f" and not np.isfinite(values).all():
-            # json.dumps spells these Infinity, -Infinity and NaN, where str writes inf and nan
-            cells.append(np.array([json.dumps(value) for value in values.tolist()], dtype=object))
+            cells.append(_json_floats(values))
         elif (repeats := _repeats(values)) is not None:
             distinct, inverse = repeats
-            cells.append(np.array(list(map(str, distinct.tolist())), dtype=object)[inverse])
+            cells.append(_json_floats(distinct)[inverse])
         else:
             cells.append(values)
     if len({cell.dtype for cell in cells}) > 1:
@@ -312,9 +337,10 @@ def _block_values(columns) -> list:
 
 
 def _blocks(columns):
-    """The columns, BLOCK_ROWS rows at a time."""
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        yield [column[lo : lo + BLOCK_ROWS] for column in columns]
+    """The columns, BLOCK_ROWS rows at a time; a factored column keeps its values and slices its index."""
+    for lo in range(0, _row_count(columns[0]), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        yield [(column[0], column[1][rows]) if isinstance(column, tuple) else column[rows] for column in columns]
 
 
 def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
@@ -327,7 +353,7 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         handle.write(meta[: -len("\n}")] + ',\n  "rows": [')
         row = ",\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in fieldnames) + "\n    }"
-        render, tail = lambda block: row * len(block[0]) % tuple(_block_values(block)), "\n  ]\n}\n"
+        render, tail = lambda block: row * _row_count(block[0]) % tuple(_block_values(block)), "\n  ]\n}\n"
     else:
         handle.write(f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}")
         render, tail = _csv_block, "\n"
@@ -432,11 +458,11 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig
 
 def cmd_cond_surface(config: RunConfig) -> int:
     grid = np.linspace(0.0, 1.0, config.grid_n)
-    lam_c, lam_r = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
-    p_st, p_td = _conditional_columns(lam_c, lam_r, config)
+    i, j = _divmod(np.arange(config.grid_n**2), config.grid_n)  # row-major in (lambda_c, lambda_r)
+    p_st, p_td = _conditional_columns(grid[i], grid[j], config)
     meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    _write_dataset("cond-surface", meta, fields, (lam_c, lam_r, p_st, p_td, p_st - p_td), config)
+    _write_dataset("cond-surface", meta, fields, ((grid, i), (grid, j), p_st, p_td, p_st - p_td), config)
     return 0
 
 

@@ -9,9 +9,9 @@ full period it is the mixed state rho_bar, the mean of its projectors.
 The headline quantity is P(V on system | H on clock) = Tr[E rho] / Tr[E_c rho],
 with E = (I + lambda_c Q_c)(I - lambda_r Q_r)/4 and E_c = (I + lambda_c Q_c)/2.
 Both are affine in the sharpness, so a preparation enters only through the
-moments <I>, <Q_c>, <Q_r>, <Q_c Q_r>, each taken in the queried formalism; the
-per-effect ratio is the tests' oracle. Closed forms, with clock and system
-sharpness lambda_c, lambda_r:
+moments <I>, <Q_c>, <Q_r>, <Q_c Q_r>, each taken in the queried formalism and
+cached per preparation, node count and formalism; the per-effect ratio is the
+tests' oracle. Closed forms, with clock and system sharpness lambda_c, lambda_r:
 
     stationary, sharp        : 1
     time dependent, sharp    : 3/4
@@ -135,8 +135,11 @@ def stationary_state(spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()) -
     """One-period componentwise amplitude average of the product pair, normalized.
 
     The global phase is fixed by making the HV amplitude real and positive.
-    The result is the polarization singlet up to roundoff. It does not
-    depend on omega: the average is taken in the phase variable.
+    The result is the polarization singlet up to roundoff. It is cached per
+    node count, and each call returns a fresh copy; the conditionals read its
+    moments, cached per preparation, node count and formalism. `spec` is
+    accepted but not read: the average is taken in the phase variable, so
+    it does not depend on omega.
     """
     return _stationary_cached(quad.panels).copy()
 
@@ -148,6 +151,17 @@ def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formal
     return trace_of_product(effect, rho).real
 
 
+@functools.lru_cache(maxsize=32)
+def _moments(kind: StateKind, panels: int, formalism: Formalism) -> tuple[float, float, float, float]:
+    """<I>, <Q_c>, <Q_r>, <Q_c Q_r> of a preparation, each taken in the given formalism.
+
+    Cached per preparation, node count and formalism, so the amplitude and
+    density-matrix moments are kept apart and still check each other.
+    """
+    states, rho = _ENSEMBLES[kind](panels)
+    return tuple(_expectation(op, states, rho, formalism) for op in _MOMENTS)
+
+
 def conditional_probability(
     query: ConditionalQuery, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
 ) -> float | np.ndarray:
@@ -155,12 +169,14 @@ def conditional_probability(
 
     A float for a scalar sharpness pair, an array for an array pair. All four
     moments go through the same formalism; for the evolving preparation they
-    are one-period averages taken before the ratio.
+    are one-period averages taken before the ratio. The moments are cached
+    per preparation, node count and formalism, so a call is arithmetic on
+    four numbers. `spec` is accepted but not read: every result is taken in
+    the phase variable, so none depends on omega.
     """
     lam = query.effective_sharpness
     lam_c, lam_r = np.asarray(lam.lambda_c, dtype=float), np.asarray(lam.lambda_r, dtype=float)
-    states, rho = _ENSEMBLES[query.state_kind](quad.panels)
-    m0, m_c, m_r, m_cr = (_expectation(op, states, rho, query.formalism) for op in _MOMENTS)
+    m0, m_c, m_r, m_cr = _moments(query.state_kind, quad.panels, query.formalism)
     numerator = (m0 + lam_c * m_c - lam_r * m_r - lam_c * lam_r * m_cr) / 4.0
     denominator = (m0 + lam_c * m_c) / 2.0
     if np.any(denominator < DEGENERATE_DENOMINATOR):
@@ -174,7 +190,12 @@ def conditional_probability(
 def entanglement_advantage(
     pair: SharpnessPair, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
 ) -> float | np.ndarray:
-    """Stationary minus time-dependent unsharp conditional, lambda_c*lambda_r/4; shaped like the pair."""
+    """Stationary minus time-dependent unsharp conditional, lambda_c*lambda_r/4; shaped like the pair.
+
+    Both terms come from the cached moments of their preparation (per node
+    count, density-matrix formalism). `spec` is accepted but not read: the
+    result is taken in the phase variable, so it does not depend on omega.
+    """
     stationary = conditional_probability(
         ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec, quad
     )

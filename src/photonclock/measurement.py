@@ -34,12 +34,20 @@ class Outcome(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SharpnessPair:
-    """Sharpness of the clock-side and system-side readouts, scalars or arrays in [0, 1]."""
+    """Sharpness of the clock-side and system-side readouts, scalars or arrays in [0, 1]
+    whose shapes broadcast against each other."""
 
     lambda_c: float | np.ndarray
     lambda_r: float | np.ndarray
 
     def __post_init__(self):
+        shapes = np.shape(self.lambda_c), np.shape(self.lambda_r)
+        try:
+            np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValueError(
+                f"lambda_c shape {shapes[0]} and lambda_r shape {shapes[1]} do not broadcast"
+            ) from None
         for value in (self.lambda_c, self.lambda_r):
             lam = np.asarray(value, dtype=float)
             if not np.all((lam >= 0.0) & (lam <= 1.0)):  # NaN fails both comparisons

@@ -48,6 +48,14 @@ def per_effect_ratio(kind, pair, panels):
     return (trace_of_product(effect, rho) / trace_of_product(effect_clock, rho)).real
 
 
+@pytest.fixture
+def fresh_moments():
+    """Clear the cached moments around a test, so that none computed from a swapped-in state outlives it."""
+    conditional_module._moments.cache_clear()
+    yield
+    conditional_module._moments.cache_clear()
+
+
 class TestQuadratureSpec:
     def test_default_panels(self):
         assert QuadratureSpec().panels == 8
@@ -184,6 +192,7 @@ class TestUnsharpConditionals:
             p = conditional_probability(query, UNIT, QuadratureSpec(panels))
             assert abs(p - per_effect_ratio(kind, pair, panels)) <= 1e-15
 
+    @pytest.mark.usefixtures("fresh_moments")
     def test_moment_form_holds_on_a_generic_state(self, monkeypatch):
         # all four moments are nonzero here; on the two physical preparations <Q_c> = <Q_r> = 0
         psi = np.array([0.6, 0.5, 0.3j, -0.2 + 0.1j]) / math.sqrt(0.75)
@@ -242,6 +251,7 @@ class TestUnsharpConditionals:
         fine = conditional_probability(query, UNIT, QuadratureSpec(4096))
         assert abs(coarse - fine) <= 1e-12
 
+    @pytest.mark.usefixtures("fresh_moments")
     def test_degenerate_conditioning_raises(self, monkeypatch):
         # Force a preparation with no H component on the clock side so a
         # sharp clock projection has nothing to condition on.
@@ -252,6 +262,29 @@ class TestUnsharpConditionals:
         query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP)
         with pytest.raises(DegenerateConditioningError):
             conditional_module.conditional_probability(query, UNIT)
+
+
+class TestMomentsCache:
+    @pytest.mark.usefixtures("fresh_moments")
+    def test_each_preparation_takes_its_four_moments_once(self, monkeypatch):
+        calls = []
+        real = conditional_module._expectation
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(conditional_module, "_expectation", counted)
+        pair = SharpnessPair(np.linspace(0.0, 1.0, 5), 0.3)
+        for panels, kind, formalism in itertools.product((8, 10), StateKind, Formalism):
+            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism)
+            before = len(calls)
+            conditional_probability(query, UNIT, QuadratureSpec(panels))
+            assert len(calls) - before == 4
+            conditional_probability(query, UNIT, QuadratureSpec(panels))
+            sharp = ConditionalQuery(kind, MeasurementKind.SHARP, formalism=formalism)
+            conditional_probability(sharp, UNIT, QuadratureSpec(panels))
+            assert len(calls) - before == 4
 
 
 class TestEntanglementAdvantage:

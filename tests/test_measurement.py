@@ -66,6 +66,14 @@ class TestSharpnessPair:
         SharpnessPair(0.0, 1.0)
         SharpnessPair(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
+    def test_shapes_must_broadcast(self):
+        with pytest.raises(ValueError, match=r"lambda_c shape \(3,\) and lambda_r shape \(2,\)"):
+            SharpnessPair(np.full(3, 0.5), np.full(2, 0.5))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
+            SharpnessPair(np.full((2, 3), 0.5), [0.1, 0.2])
+        SharpnessPair(np.full((3, 1), 0.5), np.full(4, 0.5))
+        SharpnessPair(0.5, np.full((2, 2), 0.5))
+
 
 class TestUnsharpEffects:
     def test_sharp_limit_gives_projectors(self):

@@ -32,13 +32,21 @@ def _render_dataset(command: str, meta_items, fieldnames, rows, fmt: str) -> str
     return "\n".join(lines) + "\n"
 
 
+def _expanded(column) -> np.ndarray:
+    """A dataset column as its plain values: a factored ``(values, index)`` column is ``values[index]``."""
+    if isinstance(column, tuple):
+        values, index = column
+        return values[index]
+    return column
+
+
 def _record_oracle(monkeypatch) -> list[str]:
     """Pass each command's columns on to the writer, and list the oracle's text for them."""
     seen = []
     real = cli._write_dataset
 
     def spy(command, meta_items, fieldnames, columns, config):
-        rows = zip(*(column.tolist() for column in columns))
+        rows = zip(*(_expanded(column).tolist() for column in columns))
         seen.append(_render_dataset(command, meta_items, fieldnames, rows, config.format))
         real(command, meta_items, fieldnames, columns, config)
 
@@ -97,13 +105,19 @@ def test_block_edges_match_the_oracle(capsys, tmp_path, monkeypatch, oracle, arg
 
 
 REAL_BLOCK_RUNS = [["lgi-scan", "--x-steps", "40000"], ["cond-surface", "--grid-n", "150"]]
+# a CSV run's id is its command name alone
+REAL_BLOCK_CASES = [
+    pytest.param(argv, fmt, id=argv[0] if fmt == "csv" else f"{argv[0]}-{fmt}")
+    for fmt in ("csv", "json")
+    for argv in REAL_BLOCK_RUNS
+]
 
 
-@pytest.mark.parametrize("argv", REAL_BLOCK_RUNS, ids=[argv[0] for argv in REAL_BLOCK_RUNS])
-def test_real_block_edges_match_the_oracle(capsys, tmp_path, oracle, argv):
+@pytest.mark.parametrize("argv, fmt", REAL_BLOCK_CASES)
+def test_real_block_edges_match_the_oracle(capsys, tmp_path, oracle, argv, fmt):
     # 40001 and 22500 rows: two full blocks of 2**14 and a partial one, and one of each
     assert cli.BLOCK_ROWS == 2**14
-    assert_matches_oracle(capsys, oracle, argv, tmp_path / "data.csv")
+    assert_matches_oracle(capsys, oracle, argv + ["--format", fmt], tmp_path / "data")
 
 
 window = st.tuples(
