@@ -40,6 +40,8 @@ def main():
 
     # a scan long enough to cross the writer's block edges (2^14 rows each)
     run(["lgi-scan", "--x-steps", "65536", "--out", out("lgi_dense.csv")] + omega)
+    # and the same in JSON, with its bool column (20001 rows: a full block and a partial one)
+    run(["lgi-scan", "--x-steps", "20000", "--format", "json", "--out", out("lgi_dense.json")] + omega)
 
     # conditional probabilities over the full sharpness grid, in CSV and JSON, plus the diagonal
     run(["cond-surface", "--grid-n", "41", "--out", out("cond_surface.csv")] + omega)

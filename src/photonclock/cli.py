@@ -3,10 +3,13 @@
 Subcommands: lgi-scan, cond-surface, cond-slice, report, dof, wd-check.
 Datasets are written as CSV (one '#' metadata line, a header line, then
 rows) or JSON ({"meta": ..., "rows": [...]}), with '\n' endings, so
-identical configurations produce byte-identical files. CSV floats are the
-exact "%.17g" text, rendered for a whole block at once by numpy array passes;
-a cell those passes cannot vouch for is written by "%.17g" itself. JSON
-floats are Python's repr, as json.dumps writes them. A float column is a 1-d
+identical configurations produce byte-identical files. Both formats lay out
+each block of rows in one byte matrix, from a repeated row template; they
+differ only in the text around the cells and in the float cells. CSV floats
+are the exact "%.17g" text, rendered for a whole block at once by numpy array
+passes; a cell those passes cannot vouch for is written by "%.17g" itself.
+JSON floats are Python's repr text in the same matrix, as json.dumps writes
+them. Bools and ints are the same text in both. A float column is a 1-d
 array, or a factored pair (values, index) that stands for values[index]:
 cond-surface passes its two sharpness axes so, and the writer formats each
 grid value once per block and gathers the cells by the index, never sorting
@@ -68,8 +71,7 @@ _MAX_PANELS = 2**16
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)  # JSON
-_BOOL_CELLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # CSV, NUL-padded as every CSV cell
+_BOOL_CELLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # NUL-padded, as every cell
 
 
 def _split(a):
@@ -262,25 +264,39 @@ def _row_count(column) -> int:
     return len(column[1]) if isinstance(column, tuple) else len(column)
 
 
-def _csv_block(columns) -> str:
-    """One block of rows as CSV lines, each led by its '\\n'.
+def _json_float_cells(values: np.ndarray) -> np.ndarray:
+    """The json.dumps text of each float, as the NUL-padded rows of an (n, 24) uint8 matrix.
 
-    The rows are assembled in one NUL-padded byte matrix, whose NULs are then
-    dropped. The floats of all float columns go through one _float_cells call.
+    That text is repr, which is never longer than 24 characters. A block that
+    holds a non-finite value is written by json.dumps itself, which spells
+    those Infinity, -Infinity and NaN.
+    """
+    text = map(repr if np.isfinite(values).all() else json.dumps, values.tolist())
+    return np.fromiter(text, f"S{_CELL}", values.size).view(np.uint8).reshape(-1, _CELL)
+
+
+def _text_block(columns, pieces, float_cells) -> str:
+    """One block of rows as text, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
+
+    The rows are laid out from one repeated row template in a NUL-padded byte
+    matrix, whose NULs are then dropped. The floats of all float columns go
+    through one float_cells call, which gives each its text in a 24-byte cell.
     A factored column sends its values, and a float column with at most half
     of its values distinct sends only those; their rows gather their cells
-    through the index.
+    through the index. Bools and ints are the same text in every format.
     """
     rows = _row_count(columns[0])
     widths = [
         _CELL if isinstance(column, tuple) else {"b": 5, "i": 20, "u": 20}.get(column.dtype.kind, _CELL)
         for column in columns
     ]
-    starts = np.cumsum([1] + [width + 1 for width in widths])  # each cell after its newline or comma
-    text = bytearray(rows * (starts[-1] - 1))
+    template, starts = bytearray(), []
+    for piece, width in zip(pieces, widths):
+        template += piece
+        starts.append(len(template))
+        template += bytes(width)
+    text = (template + pieces[-1]) * rows
     matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
-    matrix[:, 0] = ord("\n")
-    matrix[:, starts[1:-1] - 1] = ord(",")
     floats, slots = [], []
     for values, start, width in zip(columns, starts, widths):
         cells = matrix[:, start : start + width]
@@ -296,44 +312,10 @@ def _csv_block(columns) -> str:
             floats.append(values if repeats is None else repeats[0])
             slots.append((cells, None if repeats is None else repeats[1]))
     if floats:
-        parts = np.split(_float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
+        parts = np.split(float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
         for (cells, inverse), part in zip(slots, parts):
             cells[:] = part if inverse is None else part.take(inverse, axis=0)
     return text.translate(None, b"\0").decode("ascii")
-
-
-def _json_floats(values: np.ndarray) -> np.ndarray:
-    """The JSON text of each number, as an object array of str."""
-    if np.isfinite(values).all():
-        return np.array(list(map(str, values.tolist())), dtype=object)
-    # json.dumps spells these Infinity, -Infinity and NaN, where str writes inf and nan
-    return np.array([json.dumps(value) for value in values.tolist()], dtype=object)
-
-
-def _block_values(columns) -> list:
-    """One block of rows as one flat row-major list of the JSON text of each cell's value.
-
-    A factored column has each of its values formatted once, and a column with
-    at most half of its values distinct each distinct value; their cells
-    arrive as those strings. Any other column arrives as Python values, whose
-    str is their JSON text.
-    """
-    cells = []
-    for values in columns:
-        if isinstance(values, tuple):
-            cells.append(_json_floats(values[0])[values[1]])
-        elif values.dtype == np.bool_:
-            cells.append(_BOOL_TEXT[values.view(np.uint8)])
-        elif values.dtype.kind == "f" and not np.isfinite(values).all():
-            cells.append(_json_floats(values))
-        elif (repeats := _repeats(values)) is not None:
-            distinct, inverse = repeats
-            cells.append(_json_floats(distinct)[inverse])
-        else:
-            cells.append(values)
-    if len({cell.dtype for cell in cells}) > 1:
-        cells = [cell.astype(object) for cell in cells]  # no promotion of one column to another's type
-    return np.column_stack(cells).ravel().tolist()
 
 
 def _blocks(columns):
@@ -348,17 +330,23 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
 
     The text is byte-identical to a CSV with one line per row and "%.17g"
     floats, or to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
+    The formats differ only in the text around the cells, their float cells,
+    and the text before and after the rows.
     """
     if fmt == "json":
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
-        handle.write(meta[: -len("\n}")] + ',\n  "rows": [')
-        row = ",\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in fieldnames) + "\n    }"
-        render, tail = lambda block: row * _row_count(block[0]) % tuple(_block_values(block)), "\n  ]\n}\n"
+        head, tail = meta[: -len("\n}")] + ',\n  "rows": [', "\n  ]\n}\n"
+        names = [json.dumps(name) for name in fieldnames]
+        pieces = [f",\n    {{\n      {names[0]}: ", *(f",\n      {name}: " for name in names[1:]), "\n    }"]
+        float_cells = _json_float_cells
     else:
-        handle.write(f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}")
-        render, tail = _csv_block, "\n"
+        head, tail = f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}", "\n"
+        pieces = ["\n", *[","] * (len(fieldnames) - 1), ""]
+        float_cells = _float_cells
+    pieces = [piece.encode("ascii") for piece in pieces]
+    handle.write(head)
     for index, block in enumerate(_blocks(columns)):
-        text = render(block)
+        text = _text_block(block, pieces, float_cells)
         handle.write(text[1:] if index == 0 and fmt == "json" else text)  # no comma before the first row
     handle.write(tail)
 

@@ -19,6 +19,13 @@ HBAR = 1.0
 # truncation threshold for the series propagator and its safety cap
 _SERIES_EPS = 1e-16
 _SERIES_MAX_TERMS = 128
+# the norm the series is scaled down to before it is squared back up: each
+# squaring doubles the unitarity error, and a larger norm needs fewer of them
+_SERIES_SCALED_NORM = 2.0
+
+# the propagator's domain: a finite t with ||h||_inf * |t| at most this, where
+# the series stays unitary to 1e-12
+MAX_NORM_TIME = 1e3
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,8 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     # falls below _SERIES_EPS in the infinity norm
     norm = float(np.linalg.norm(a, np.inf))
     squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm / 0.5)))
+    if norm > _SERIES_SCALED_NORM:
+        squarings = int(math.ceil(math.log2(norm / _SERIES_SCALED_NORM)))
     scaled = a / (2.0 ** squarings)
     dim = a.shape[0]
     term = np.eye(dim, dtype=complex)
@@ -72,10 +79,21 @@ def propagator(h, t: float) -> np.ndarray:
     Generic scaling and squaring of the Taylor series, with no structural
     assumption about h. It is the test oracle for the one closed form in the
     package, the batched plane rotation ``lgi._rotation``.
+
+    Domain: a finite t with ||h||_inf * |t| <= MAX_NORM_TIME = 1e3, where the
+    result is unitary to 1e-12. Past it the squarings' rounding grows with
+    ||h|| |t| until the result is no rotation at all, so any other t raises
+    ValueError.
     """
     hm = np.asarray(h, dtype=complex)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
         raise ValueError("generator must be a square matrix")
+    t, norm = float(t), float(np.linalg.norm(hm, np.inf))
+    if not (math.isfinite(t) and norm * abs(t) <= MAX_NORM_TIME):  # a NaN norm fails too
+        raise ValueError(
+            f"propagator needs a finite t with ||h||_inf * |t| <= {MAX_NORM_TIME:g}; "
+            f"got t={t!r} and ||h||_inf={norm!r}"
+        )
     scale = max(1.0, float(np.max(np.abs(hm))) if hm.size else 0.0)
     if float(np.max(np.abs(hm - hm.conj().T))) > ATOL * scale:
         raise ValueError("generator must be Hermitian")

@@ -1,8 +1,10 @@
 """Generators and propagators for the rotating-polarization pair."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonclock import (
@@ -12,7 +14,7 @@ from photonclock import (
     single_photon_hamiltonian,
     wd_residual,
 )
-from photonclock.dynamics import product_state_phase
+from photonclock.dynamics import MAX_NORM_TIME, product_state_phase
 from photonclock.qstate import ket
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -20,6 +22,12 @@ EVEN_PAIR = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 times = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
 frequencies = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
+# every double, with extra draws near the propagator's bound at omega = 1
+any_time = st.one_of(st.floats(), st.floats(-2.5e3, 2.5e3))
+any_frequency = st.one_of(
+    st.just(1.0),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(1.0, 9.99), st.integers(-300, 300)),
+)
 
 
 class TestClockSpec:
@@ -109,6 +117,25 @@ class TestPropagator:
     def test_unitary_two_photon_series(self, t):
         u = propagator(global_hamiltonian(ClockSpec(1.0)), t)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-11)
+
+    @settings(max_examples=500)
+    @given(any_time, any_frequency, st.sampled_from([single_photon_hamiltonian, global_hamiltonian]))
+    def test_raises_or_is_unitary_over_the_whole_double_range(self, t, omega, hamiltonian):
+        h = hamiltonian(ClockSpec(omega))
+        inside = math.isfinite(t) and float(np.linalg.norm(h, np.inf)) * abs(t) <= MAX_NORM_TIME
+        if not inside:
+            with pytest.raises(ValueError, match="<= 1000"):
+                propagator(h, t)
+            return
+        u = propagator(h, t)
+        assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
+
+    def test_domain_edge(self):
+        h = global_hamiltonian(ClockSpec(1.0))  # ||h||_inf = 2
+        propagator(h, 500.0)
+        for t in (np.nextafter(500.0, np.inf), -1e15, 1e300, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite t"):
+                propagator(h, t)
 
     def test_two_photon_series_matches_spectral_oracle(self):
         spec = ClockSpec(1.0)

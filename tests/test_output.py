@@ -306,6 +306,37 @@ def test_formatter_does_not_trust_log10(monkeypatch):
     assert_formats_like_printf(np.concatenate([values, -values]))
 
 
+# the JSON float formatter, cell by cell against json.dumps
+def assert_formats_like_json(values):
+    values = np.asarray(values, dtype=np.float64)
+    cells = cli._json_float_cells(values)
+    assert cells.shape == (len(values), 24)
+    expected = [json.dumps(value) for value in values.tolist()]
+    # an S24 cast cuts longer text short without an error: a cut cell has no NUL and differs from json.dumps
+    text = [bytes(cell).rstrip(b"\0").decode("ascii") for cell in cells]
+    wrong = [(value, got, want) for value, got, want in zip(values.tolist(), text, expected) if got != want]
+    assert not wrong, wrong[:10]
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_json_formatter_on_any_floats(values):
+    assert_formats_like_json(values)
+
+
+def test_json_formatter_on_random_bit_patterns():
+    patterns = np.random.default_rng(20161018).integers(0, 2**64, size=2**16, dtype=np.uint64, endpoint=False)
+    assert_formats_like_json(patterns.view(np.float64))
+
+
+def test_json_formatter_on_the_widest_reprs():
+    widest = [-2.2250738585072014e-308, -1.7976931348623157e308, -0.00012345678901234567]
+    assert [len(repr(value)) for value in widest] == [24, 24, 23]
+    assert_formats_like_json(widest)
+    assert_formats_like_json(widest + [np.nan])  # a block with a non-finite value goes through json.dumps
+    assert cli._json_float_cells(np.array(widest))[:2].all()  # the 24-character reprs fill their cells
+
+
 def _failing_second_block(monkeypatch):
     # both formats take their blocks from cli._blocks
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
