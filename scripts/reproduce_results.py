@@ -42,6 +42,9 @@ def main():
     run(["lgi-scan", "--x-steps", "65536", "--out", out("lgi_dense.csv")] + omega)
     # and the same in JSON, with its bool column (20001 rows: a full block and a partial one)
     run(["lgi-scan", "--x-steps", "20000", "--format", "json", "--out", out("lgi_dense.json")] + omega)
+    # the engine's edge, x up to X_MAX, where the rounding of the time 3 dt matters most
+    run(["lgi-scan", "--x-min", "9990", "--x-max", "10000", "--x-steps", "4096",
+         "--out", out("lgi_edge.csv")] + omega)
 
     # conditional probabilities over the full sharpness grid, in CSV and JSON, plus the diagonal
     run(["cond-surface", "--grid-n", "41", "--out", out("cond_surface.csv")] + omega)

@@ -196,11 +196,11 @@ def _repeats(values: np.ndarray):
     """
     bits = values.view(f"u{values.itemsize}")
     ordered = np.sort(bits)
-    distinct_count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-    if 2 * distinct_count > bits.size:
+    steps = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(steps)) > bits.size:
         return None
-    distinct, inverse = np.unique(bits, return_inverse=True)  # the inverse indexes the rows as written
-    return distinct.view(values.dtype), inverse
+    distinct = np.concatenate((ordered[:1], ordered[1:][steps]))  # sorted, so each row finds its value by bisection
+    return distinct.view(values.dtype), np.searchsorted(distinct, bits)
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -335,7 +335,8 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     """
     if fmt == "json":
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
-        head, tail = meta[: -len("\n}")] + ',\n  "rows": [', "\n  ]\n}\n"
+        head = meta[: -len("\n}")] + ',\n  "rows": ['
+        tail = "\n  ]\n}\n" if _row_count(columns[0]) else "]\n}\n"  # json.dumps writes no rows as []
         names = [json.dumps(name) for name in fieldnames]
         pieces = [f",\n    {{\n      {names[0]}: ", *(f",\n      {name}: " for name in names[1:]), "\n    }"]
         float_cells = _json_float_cells

@@ -78,7 +78,7 @@ def propagator(h, t: float) -> np.ndarray:
 
     Generic scaling and squaring of the Taylor series, with no structural
     assumption about h. It is the test oracle for the one closed form in the
-    package, the batched plane rotation ``lgi._rotation``.
+    package, the plane rotation whose entries ``lgi._joint_table`` squares.
 
     Domain: a finite t with ||h||_inf * |t| <= MAX_NORM_TIME = 1e3, where the
     result is unitary to 1e-12. Past it the squarings' rounding grows with

@@ -11,9 +11,13 @@ is a product of two squared rotation entries:
 
     P(o1 at t1, o2 at t2) = <o1|U(t1)|psi0>^2 * <o2|U(t2 - t1)|o1>^2.
 
-One private kernel evaluates that product batched over arrays of times, and
-each public function validates its inputs and calls it once. The validated
-chain of propagator, Lüders collapse and Born rule is the kernel's test oracle.
+The amplitudes are entries of the plane rotation U(t) = [[c, s], [-s, c]]
+at phase omega*t, so the product is elementwise arithmetic on the cosines
+and sines of two phases. One private kernel forms it from arrays of those
+cosines and sines, and each public function validates its inputs, evaluates
+each distinct phase it needs once and hands the kernel their cosines and
+sines. The validated chain of propagator, Lüders collapse and Born rule is
+the kernel's test oracle.
 
 For measurements at four equally spaced times with phase gap x = omega*dt,
 the three-plus-one correlator combination
@@ -40,6 +44,8 @@ CLASSICAL_BOUND = 2.0
 # the engine's domain: past X_MAX its schedule times k*x/omega round at
 # ulp(3x), and its deviation from the closed form grows with x (2e-10 at 1e6)
 X_MAX = 1e4
+# the largest phase omega*t the engine evaluates, at t4 = 3 dt; the domain of every time
+_MAX_PHASE = 3.0 * X_MAX
 
 # the Q eigenvalues, stacked by Outcome.index
 _Q = np.array([Outcome.H.value, Outcome.V.value], dtype=float)
@@ -77,32 +83,38 @@ class LgiSchedule:
         return (self.t1, self.t2, self.t3, self.t4)
 
 
-def _rotation(phase) -> np.ndarray:
-    """exp(-i h t) of the one-photon generator at phase omega*t, batched to shape (2, 2, ...)."""
-    c, s = np.cos(phase), np.sin(phase)
-    return np.array([[c, s], [-s, c]])
+def _joint_table(init: InitialCondition, cos1, sin1, cos_gap, sin_gap):
+    """P(o1 at t1, o2 at t2) as table[o1.index][o2.index]; a null first outcome gives 0.
 
-
-def _joint_table(init: InitialCondition, t1, t2, omega: float) -> np.ndarray:
-    """P(o1 at t1, o2 at t2) at [o1.index, o2.index, ...]; a null first outcome gives 0.
-
-    The first factor is the squared amplitude of o1 in the evolved
-    preparation, the second the squared rotation entry <o2|U(t2 - t1)|o1>.
-    The size-2 component axes come first and the batch axes last.
-    Trusted: callers have checked 0 <= t1 <= t2, which broadcast together.
+    Takes the cosines and sines of the phases omega*t1 and omega*(t2 - t1),
+    which broadcast together. U(t1) keeps the prepared ket with amplitude
+    +-cos and turns it with +-sin, so the first factor is cos1^2 for the
+    prepared outcome and sin1^2 for the other. The transfer factor
+    <o2|U(t2 - t1)|o1>^2 is cos_gap^2 when o2 = o1 and sin_gap^2 when not.
     """
-    t1, t2 = np.broadcast_arrays(t1, t2)  # one batch shape for every temporary
-    p1 = np.einsum("ij...,j->i...", _rotation(omega * t1), init.clock_ket.real) ** 2
-    first = np.where(p1 >= NULL_PROBABILITY, p1, 0.0)
-    transfer = _rotation(omega * (t2 - t1)) ** 2  # symmetric: [o2, o1] is [o1, o2]
-    return first[:, None] * transfer
+    kept, turned = cos1 * cos1, sin1 * sin1  # not **2, which on a numpy scalar calls pow and may round apart
+    p_h, p_v = (kept, turned) if init is InitialCondition.START_H else (turned, kept)
+    p_h = np.where(p_h >= NULL_PROBABILITY, p_h, 0.0)
+    p_v = np.where(p_v >= NULL_PROBABILITY, p_v, 0.0)
+    stay, flip = cos_gap * cos_gap, sin_gap * sin_gap
+    return (p_h * stay, p_h * flip), (p_v * flip, p_v * stay)
 
 
-def _combination(init: InitialCondition, times: np.ndarray, omega: float) -> np.ndarray:
-    """C12 + C23 + C34 - C14 for schedules stacked on the first axis of times."""
-    table = _joint_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], omega)
-    c12, c23, c34, c14 = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
-    return c12 + c23 + c34 - c14
+def _correlator(table):
+    """<Q(t1) Q(t2)> = P(H, H) - P(H, V) - P(V, H) + P(V, V) from a joint table."""
+    (hh, hv), (vh, vv) = table
+    return hh - hv - vh + vv
+
+
+def _pair_table(init: InitialCondition, t1: float, t2: float, spec: ClockSpec):
+    """The joint table at two times, inside the domain 0 <= t1 < t2 <= 3 X_MAX / omega."""
+    t1, t2 = float(t1), float(t2)
+    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 <= t1 < t2):
+        raise ValueError("need 0 <= t1 < t2")
+    if not spec.omega * t2 <= _MAX_PHASE:
+        raise ValueError(f"need omega * t2 <= 3 * X_MAX = {_MAX_PHASE:g}, the largest phase the engine evaluates")
+    first, gap = spec.omega * t1, spec.omega * (t2 - t1)
+    return _joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap))
 
 
 def joint_two_time_probability(
@@ -113,10 +125,12 @@ def joint_two_time_probability(
     t2: float,
     spec: ClockSpec,
 ) -> float:
-    """P(outcome1 at t1 and outcome2 at t2) under sharp sequential readout."""
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 <= t1 < t2):
-        raise ValueError("need 0 <= t1 < t2")
-    return float(_joint_table(init, t1, t2, spec.omega)[outcome1.index, outcome2.index])
+    """P(outcome1 at t1 and outcome2 at t2) under sharp sequential readout.
+
+    Domain: 0 <= t1 < t2 with omega * t2 <= 3 * X_MAX, the largest phase the
+    engine evaluates; anything else raises ValueError.
+    """
+    return float(_pair_table(init, t1, t2, spec)[outcome1.index][outcome2.index])
 
 
 def two_time_correlator(
@@ -125,25 +139,35 @@ def two_time_correlator(
     """<Q(t1) Q(t2)> from the four sequential joint probabilities.
 
     Collapses to cos(2*omega*(t2 - t1)): independent of t1 and of the
-    preparation.
+    preparation. Domain: 0 <= t1 < t2 with omega * t2 <= 3 * X_MAX, the
+    largest phase the engine evaluates; anything else raises ValueError.
     """
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 <= t1 < t2):
-        raise ValueError("need 0 <= t1 < t2")
-    return float(_Q @ _joint_table(init, t1, t2, spec.omega) @ _Q)
+    # the contraction rounds as (HH - VH) - (HV - VV), which differs from _correlator's order in the last bit
+    return float(_Q @ np.array(_pair_table(init, t1, t2, spec)) @ _Q)
 
 
 def lgi_value(
     schedule: LgiSchedule, spec: ClockSpec, init: InitialCondition = InitialCondition.START_H
 ) -> float:
-    """C12 + C23 + C34 - C14 over an arbitrary schedule, via the sequential engine."""
+    """C12 + C23 + C34 - C14 over an arbitrary schedule, via the sequential engine.
+
+    Domain: a schedule that starts at t1 >= 0 and ends at omega * t4 <= 3 * X_MAX,
+    the largest phase the engine evaluates; anything else raises ValueError.
+    """
     if schedule.t1 < 0.0:
         raise ValueError("schedule must start at t >= 0")
-    return float(_combination(init, np.array(schedule.times), spec.omega))
+    if not spec.omega * float(schedule.t4) <= _MAX_PHASE:
+        raise ValueError(f"need omega * t4 <= 3 * X_MAX = {_MAX_PHASE:g}, the largest phase the engine evaluates")
+    times = np.array(schedule.times)
+    start, end = times[[0, 1, 2, 0]], times[[1, 2, 3, 3]]
+    first, gap = spec.omega * start, spec.omega * (end - start)
+    c12, c23, c34, c14 = _correlator(_joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap)))
+    return float(c12 + c23 + c34 - c14)
 
 
 def lgi_functional(x) -> float | np.ndarray:
     """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination."""
-    if isinstance(x, float):  # the maximizer's refinement calls: no 0-d array round trip
+    if isinstance(x, float):  # a float gives a float with no 0-d array round trip
         return float(3.0 * np.cos(2.0 * x) - np.cos(6.0 * x))
     xv = np.asarray(x, dtype=float)
     value = 3.0 * np.cos(2.0 * xv) - np.cos(6.0 * xv)
@@ -166,11 +190,22 @@ def lgi_functional_engine(
     spec = spec if spec is not None else ClockSpec(1.0)
     with np.errstate(over="ignore"):  # an overflowing time step raises the ValueError alone
         dt = np.divide(x, spec.omega)
-        if not np.all((dt > 0.0) & np.isfinite(3.0 * dt)):
+        dt3 = 3.0 * dt
+        if not np.all((dt > 0.0) & np.isfinite(dt3)):
             raise ValueError("phase gap x must be positive, with x / omega a finite time")
     if not np.all(np.less_equal(x, X_MAX)):
         raise ValueError(f"phase gap x must be at most X_MAX = {X_MAX:g}, the engine's accuracy envelope")
-    value = _combination(init, np.multiply.outer(np.arange(4.0), dt), spec.omega)  # 0, dt, 2 dt, 3 dt
+    # The schedule 0, dt, 2 dt, 3 dt has four distinct phases besides 0: omega times dt, 2 dt,
+    # the last gap 3 dt - 2 dt and 3 dt (the middle gap 2 dt - dt is dt exactly). The pairs
+    # (t1, t2) and (t1, t4) start at phase 0, whose cosine and sine are 1 and 0 exactly.
+    dt2 = 2.0 * dt
+    phases = spec.omega * np.stack([dt, dt2, dt3 - dt2, dt3])
+    cos, sin = np.cos(phases), np.sin(phases)
+    # rows [::3] are the gaps dt and 3 dt; [:2] the starts dt and 2 dt of (t2, t3) and (t3, t4),
+    # and [::2] their gaps dt and 3 dt - 2 dt
+    c12, c14 = _correlator(_joint_table(init, 1.0, 0.0, cos[::3], sin[::3]))
+    c23, c34 = _correlator(_joint_table(init, cos[:2], sin[:2], cos[::2], sin[::2]))
+    value = c12 + c23 + c34 - c14
     return float(value) if value.ndim == 0 else value
 
 
@@ -181,6 +216,12 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
     element by element the same as the scalar calls.
     """
     return value > CLASSICAL_BOUND + 1e-12
+
+
+def _closed_form(x: float) -> float:
+    """lgi_functional on a Python float through math.cos, for the maximizer's refinement, whose
+    window check keeps 6x finite; a test pins it to lgi_functional's array path bit for bit."""
+    return 3.0 * math.cos(2.0 * x) - math.cos(6.0 * x)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -212,18 +253,18 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     h = b - a
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
-    fc = lgi_functional(c)
-    fd = lgi_functional(d)
+    fc = _closed_form(c)
+    fd = _closed_form(d)
     while h > 1e-10 and a < c < d < b:
         if fc > fd or (fc == fd and c < d):
             b, d, fd = d, c, fc
             h = b - a
             c = a + _INV_PHI_SQ * h
-            fc = lgi_functional(c)
+            fc = _closed_form(c)
         else:
             a, c, fc = c, d, fd
             h = b - a
             d = a + _INV_PHI * h
-            fd = lgi_functional(d)
+            fd = _closed_form(d)
     x_star = (a + b) / 2.0
-    return x_star, lgi_functional(x_star)
+    return x_star, _closed_form(x_star)

@@ -1,12 +1,13 @@
 """Sequential statistics and the four-time Leggett-Garg combination."""
 
+import itertools
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photonclock import (
@@ -28,7 +29,7 @@ from photonclock import (
     unsharp_effects,
     violates_classical_bound,
 )
-from photonclock.lgi import X_MAX, _joint_table, _rotation
+from photonclock.lgi import X_MAX, _closed_form, _correlator, _joint_table
 from photonclock.qstate import projector
 
 UNIT = ClockSpec(1.0)
@@ -43,6 +44,24 @@ gaps = st.floats(min_value=1e-6, max_value=8.0, allow_nan=False)
 phase_gaps = st.floats(min_value=1e-4, max_value=3.0, allow_nan=False)
 engine_gaps = st.floats(min_value=0.0, max_value=10.0, exclude_min=True)
 preparations = st.sampled_from(InitialCondition)
+# every double, and denser draws around the time domain omega * t <= 3 * X_MAX
+any_times = st.one_of(st.floats(), st.floats(min_value=0.0, max_value=4.0 * X_MAX), first_times)
+any_frequencies = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.floats(min_value=1e-3, max_value=1e3)
+)
+
+
+def kernel_table(init, t1, t2, omega):
+    """The kernel at the cosines and sines of the phases omega*t1 and omega*(t2 - t1)."""
+    first, gap = omega * t1, omega * (t2 - t1)
+    return _joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap))
+
+
+def general_schedule_engine(x, omega, init):
+    """The combination from the kernel fed every pair of the schedule outer(arange(4), dt), as lgi_value pairs them."""
+    times = np.multiply.outer(np.arange(4.0), np.divide(x, omega))
+    c12, c23, c34, c14 = _correlator(kernel_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], omega))
+    return c12 + c23 + c34 - c14
 
 
 def scalar_chain(init, outcome1, t1, outcome2, t2, spec):
@@ -233,7 +252,7 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("init", list(InitialCondition))
     def test_joint_table_matches_scalar_chain(self, init):
-        # a 1-D batch, the (4, N) batch that _combination passes, and a scalar t1 against an array t2
+        # a 1-D batch, the (4, N) batch of a stack of schedules, and a scalar t1 against an array t2
         rng = np.random.default_rng(7)
         spec = ClockSpec(1.3)
         t1 = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 63)])
@@ -241,13 +260,25 @@ class TestBatchedKernel:
         rows = rng.uniform(0.0, 8.0, (4, 9))
         batches = ((t1, t2), (rows, rows + rng.uniform(1e-6, 8.0, (4, 9))), (0.4, np.linspace(0.5, 9.0, 17)))
         for first, second in batches:
-            table = _joint_table(init, first, second, spec.omega)
+            table = np.array(kernel_table(init, first, second, spec.omega))
             first, second = np.broadcast_arrays(first, second)
             assert table.shape == (2, 2, *first.shape)
             for o1 in Outcome:
                 for o2 in Outcome:
                     chain = [scalar_chain(init, o1, a, o2, b, spec) for a, b in zip(first.flat, second.flat)]
                     assert np.max(np.abs(table[o1.index, o2.index].ravel() - chain)) <= 1e-14
+
+    @pytest.mark.parametrize("init", list(InitialCondition))
+    def test_scalar_calls_are_the_batched_kernel_bit_for_bit(self, init):
+        # a numpy scalar squared by ** goes through pow, which rounds apart from x * x about once in 1200
+        rng = np.random.default_rng(11)
+        t1 = rng.uniform(0.0, 8.0, 4000)
+        t2 = t1 + 10.0 ** rng.uniform(-8.0, 1.0, 4000)
+        table = kernel_table(init, t1, t2, UNIT.omega)
+        for o1 in Outcome:
+            for o2 in Outcome:
+                scalar = [joint_two_time_probability(init, o1, a, o2, b, UNIT) for a, b in zip(t1.tolist(), t2.tolist())]
+                assert np.array_equal(scalar, table[o1.index][o2.index])
 
     def test_null_branch_below_threshold_contributes_zero(self):
         # cos^2(pi/2) is about 3.7e-33 in doubles: nonzero, but a null collapse
@@ -262,7 +293,7 @@ class TestBatchedKernel:
         null = Outcome.H if init is InitialCondition.START_H else Outcome.V
         first = np.array([np.pi / 2, 0.3, np.pi / 2, 2.0, 0.0])
         second = first + np.array([1.0, 0.7, 2.5, 0.1, 1.2])
-        table = _joint_table(init, first, second, UNIT.omega)
+        table = np.array(kernel_table(init, first, second, UNIT.omega))
         is_null = first == np.pi / 2
         assert np.all(table[null.index][:, is_null] == 0.0)
         for o1 in Outcome:
@@ -271,11 +302,19 @@ class TestBatchedKernel:
                 assert np.max(np.abs(table[o1.index, o2.index] - chain)) <= 1e-14
 
     def test_rotation_is_the_series_propagator(self):
+        # the kernel reads U(t) = [[c, s], [-s, c]] off the cosine and sine of omega t; from a
+        # phase-0 start (cosine 1, sine 0) its table holds the squared entries |<o2|U(t)|o1>|^2
         spec = ClockSpec(2.1)
         times = np.linspace(0.0, 10.0, 41)
-        series = [propagator(single_photon_hamiltonian(spec), t) for t in times]
-        batch_first = np.moveaxis(_rotation(spec.omega * times), (0, 1), (-2, -1))
-        assert np.max(np.abs(batch_first - np.array(series))) <= 1e-14
+        series = np.array([propagator(single_photon_hamiltonian(spec), t) for t in times])
+        c, s = np.cos(spec.omega * times), np.sin(spec.omega * times)
+        rotation = np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
+        assert np.max(np.abs(rotation - series)) <= 1e-14
+        for init, o1 in zip(InitialCondition, Outcome):  # each preparation is its own first outcome
+            table = _joint_table(init, 1.0, 0.0, c, s)
+            for o2 in Outcome:
+                squared = np.abs(series[:, o2.index, o1.index]) ** 2
+                assert np.max(np.abs(table[o1.index][o2.index] - squared)) <= 1e-14
 
     @given(first_times, gaps, gaps, gaps, st.floats(min_value=0.1, max_value=10.0), preparations)
     def test_unequal_schedules_sum_pair_correlators(self, t1, g1, g2, g3, omega, init):
@@ -289,6 +328,18 @@ class TestBatchedKernel:
             - math.cos(2 * omega * (t4 - t1))
         )
         assert lgi_value(LgiSchedule(t1, t2, t3, t4), spec, init) == pytest.approx(expected, abs=1e-12)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=X_MAX, exclude_min=True), min_size=1, max_size=16),
+           st.floats(min_value=1e-3, max_value=1e3), preparations)
+    @example([5e-324, 1e-310, 2.2250738585072014e-308, X_MAX], 1e-3, InitialCondition.START_H)
+    @example([5e-324, X_MAX], 1.0, InitialCondition.START_V)
+    @example([X_MAX], 1e3, InitialCondition.START_V)
+    def test_engine_is_the_kernel_on_the_whole_schedule_bit_for_bit(self, gaps, omega, init):
+        # the engine evaluates each distinct phase once; the general path evaluates both phases of every pair
+        assume(all(x / omega > 0.0 for x in gaps))
+        xs = np.array(gaps)
+        engine = lgi_functional_engine(xs, ClockSpec(omega), init)
+        assert np.array_equal(engine, general_schedule_engine(xs, omega, init))
 
     def test_schedule_before_preparation_rejected(self):
         with pytest.raises(ValueError):
@@ -318,6 +369,68 @@ class TestBatchedKernel:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError):
                     lgi_functional_engine(x, ClockSpec(omega))
+
+
+class TestTimeDomain:
+    """Each sequential function over every double: a ValueError outside omega * t <= 3 X_MAX, the closed form inside."""
+
+    @staticmethod
+    def inside(omega, *times):
+        ordered = all(a < b for a, b in zip(times, times[1:]))
+        return all(math.isfinite(t) for t in times) and times[0] >= 0.0 and ordered and omega * times[-1] <= 3.0 * X_MAX
+
+    @given(any_times, any_times, any_frequencies, preparations)
+    @example(0.0, 3.0 * X_MAX, 1.0, InitialCondition.START_H)
+    @example(0.0, float(np.nextafter(3.0 * X_MAX, np.inf)), 1.0, InitialCondition.START_V)
+    @example(1e-300, 1e308, 1e300, InitialCondition.START_H)
+    def test_joint_probability(self, t1, gap, omega, init):
+        t2, spec = t1 + gap, ClockSpec(omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not self.inside(omega, t1, t2):
+                with pytest.raises(ValueError):
+                    joint_two_time_probability(init, Outcome.H, t1, Outcome.H, t2, spec)
+                return
+            # cos^2 and sin^2 of each phase, as (1 +- cos 2 phase) / 2
+            first, transfer = math.cos(2.0 * (omega * t1)), math.cos(2.0 * (omega * (t2 - t1)))
+            prepared = Outcome.H if init is InitialCondition.START_H else Outcome.V
+            for o1 in Outcome:
+                for o2 in Outcome:
+                    closed = (1.0 + (first if o1 is prepared else -first)) / 2.0
+                    closed *= (1.0 + (transfer if o2 is o1 else -transfer)) / 2.0
+                    assert abs(joint_two_time_probability(init, o1, t1, o2, t2, spec) - closed) <= 1e-10
+
+    @given(any_times, any_times, any_frequencies, preparations)
+    @example(0.0, 3.0 * X_MAX, 1.0, InitialCondition.START_H)
+    @example(0.0, float(np.nextafter(3.0 * X_MAX, np.inf)), 1.0, InitialCondition.START_V)
+    def test_correlator(self, t1, gap, omega, init):
+        t2, spec = t1 + gap, ClockSpec(omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not self.inside(omega, t1, t2):
+                with pytest.raises(ValueError):
+                    two_time_correlator(t1, t2, spec, init)
+                return
+            closed = math.cos(2.0 * (omega * (t2 - t1)))
+            assert abs(two_time_correlator(t1, t2, spec, init) - closed) <= 1e-10
+
+    @settings(max_examples=400)  # about one draw in ten lands inside
+    @given(st.lists(any_times, min_size=4, max_size=4), any_frequencies, preparations)
+    @example([0.0, 1.0, 1.0, 3.0 * X_MAX - 2.0], 1.0, InitialCondition.START_H)
+    @example([0.0, 1.0, 1.0, float(np.nextafter(3.0 * X_MAX, np.inf)) - 2.0], 1.0, InitialCondition.START_V)
+    def test_lgi_value(self, steps, omega, init):
+        times = list(itertools.accumulate(steps))  # a start and three gaps
+        spec = ClockSpec(omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not self.inside(omega, *times):
+                with pytest.raises(ValueError):
+                    lgi_value(LgiSchedule(*times), spec, init)
+                return
+            t1, t2, t3, t4 = times
+            pairs = ((t1, t2, 1.0), (t2, t3, 1.0), (t3, t4, 1.0), (t1, t4, -1.0))
+            closed = sum(sign * math.cos(2.0 * (omega * (b - a))) for a, b, sign in pairs)
+            assert abs(lgi_value(LgiSchedule(*times), spec, init) - closed) <= 1e-10
 
 
 class TestViolationWindow:
@@ -396,6 +509,22 @@ class TestMaximizer:
 
     def test_deterministic(self):
         assert lgi_maximize(0.0, np.pi) == lgi_maximize(0.0, np.pi)
+
+    def test_refinement_helper_is_the_array_path_bit_for_bit(self):
+        # the golden-section loop runs on math.cos; where libm and numpy's cos disagree, x_star
+        # would move silently, so any disagreement on the maximizer's domain fails here
+        rng = np.random.default_rng(14)
+        top = sys.float_info.max / 6.0
+        xs = np.concatenate([
+            rng.uniform(-10.0, 10.0, 40_000),
+            np.pi / 8 * rng.integers(-64, 64, 10_000) + rng.normal(0.0, 1e-9, 10_000),
+            rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-320.0, 307.0, 40_000),
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+        ])
+        xs = xs[np.isfinite(xs) & (np.abs(xs) <= top)]
+        assert xs.size >= 100_000
+        scalar = np.array([_closed_form(x) for x in xs.tolist()])
+        assert np.array_equal(scalar.view(np.uint64), lgi_functional(xs).view(np.uint64))
 
     @pytest.mark.parametrize("window", [(0.0, 1e308), (-1.7e308, 1.7e308)])
     def test_window_where_cos_6x_overflows_rejected(self, window):

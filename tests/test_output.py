@@ -201,6 +201,11 @@ def test_repeats_across_block_edges(monkeypatch, fmt):
 
 
 @FORMATS
+def test_zero_rows(fmt):
+    assert_writes_like_the_oracle([np.array([]), np.array([], dtype=bool)], fmt)
+
+
+@FORMATS
 def test_long_bool_column(fmt):
     flags = np.random.default_rng(7).random(300) < 0.5
     assert_writes_like_the_oracle([np.linspace(0.0, 1.0, 300), flags, ~flags], fmt)
