@@ -15,7 +15,6 @@ from .conditional import (
     ConditionalQuery,
     Formalism,
     MeasurementKind,
-    QuadratureSpec,
     StateKind,
     conditional_probability,
     entanglement_advantage,
@@ -63,7 +62,6 @@ __all__ = [
     "NullCollapseError",
     "NumericalIntegrityError",
     "Outcome",
-    "QuadratureSpec",
     "SharpnessPair",
     "Spin",
     "StateKind",

@@ -40,10 +40,9 @@ import numpy as np
 
 from . import __version__
 from .conditional import (
-    MIN_PANELS,
+    PANELS,
     ConditionalQuery,
     MeasurementKind,
-    QuadratureSpec,
     StateKind,
     conditional_probability,
     stationary_state,
@@ -66,7 +65,6 @@ X_STAR_EXPECTED = math.pi / 8.0
 # size caps keep a huge size a usage error instead of a MemoryError
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
-_MAX_PANELS = 2**16
 
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
@@ -126,7 +124,6 @@ _HEADS, _KEPT, _MOVED, _POINT = _cell_tables()
 @dataclass(frozen=True)
 class RunConfig:
     omega: float = 1.0
-    panels: int = QuadratureSpec().panels
     grid_n: int = 41
     x_min: float = 0.0
     x_max: float = math.pi
@@ -136,8 +133,6 @@ class RunConfig:
 
     def __post_init__(self):
         ClockSpec(self.omega)
-        if self.panels > _MAX_PANELS:
-            raise ValueError(f"panels must be at most {_MAX_PANELS}")
         if self.grid_n < 2:
             raise ValueError("grid-n must be at least 2")
         if self.grid_n > _MAX_GRID_N:
@@ -428,11 +423,11 @@ def cmd_lgi_scan(config: RunConfig) -> int:
 def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig) -> np.ndarray:
     """The stationary and the time-averaged unsharp conditional at the sharpness points,
     stacked: one call per preparation, one comparison against the closed forms."""
-    spec, quad = ClockSpec(config.omega), QuadratureSpec(config.panels)
+    spec = ClockSpec(config.omega)
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
-    values = np.stack([conditional_probability(query, spec, quad) for query in queries])
+    values = np.stack([conditional_probability(query, spec) for query in queries])
     product = lam_c * lam_r
     closed = np.stack([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     kind, point = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
@@ -449,7 +444,7 @@ def cmd_cond_surface(config: RunConfig) -> int:
     grid = np.linspace(0.0, 1.0, config.grid_n)
     i, j = _divmod(np.arange(config.grid_n**2), config.grid_n)  # row-major in (lambda_c, lambda_r)
     p_st, p_td = _conditional_columns(grid[i], grid[j], config)
-    meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
+    meta = [("omega", config.omega), ("panels", PANELS), ("grid_n", config.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
     _write_dataset("cond-surface", meta, fields, ((grid, i), (grid, j), p_st, p_td, p_st - p_td), config)
     return 0
@@ -458,7 +453,7 @@ def cmd_cond_surface(config: RunConfig) -> int:
 def cmd_cond_slice(config: RunConfig) -> int:
     lam = np.linspace(0.0, 1.0, config.grid_n)
     p_st, p_td = _conditional_columns(lam, lam, config)
-    meta = [("omega", config.omega), ("panels", config.panels), ("grid_n", config.grid_n)]
+    meta = [("omega", config.omega), ("panels", PANELS), ("grid_n", config.grid_n)]
     fields = ("lambda", "P_stationary", "P_timeavg")
     _write_dataset("cond-slice", meta, fields, (lam, p_st, p_td), config)
     return 0
@@ -475,26 +470,22 @@ def cmd_dof(config: RunConfig, dim: int) -> int:
 # --- summary commands -------------------------------------------------------
 
 
-def _dimensionless_wd_residual(spec: ClockSpec, quad: QuadratureSpec) -> float:
+def _dimensionless_wd_residual(spec: ClockSpec) -> float:
     # residual in units of hbar*omega: evaluate the generator at unit frequency
-    return wd_residual(global_hamiltonian(ClockSpec(1.0)), stationary_state(spec, quad))
+    return wd_residual(global_hamiltonian(ClockSpec(1.0)), stationary_state(spec))
 
 
 def _check(name: str, value, target_text: str, passed: bool) -> dict:
     return {"name": name, "value": _native(value), "target": target_text, "pass": bool(passed)}
 
 
-def _report_checks(spec: ClockSpec, quad: QuadratureSpec) -> list[dict]:
+def _report_checks(spec: ClockSpec) -> list[dict]:
     checks = []
-    residual = _dimensionless_wd_residual(spec, quad)
+    residual = _dimensionless_wd_residual(spec)
     checks.append(_check("wd_residual", residual, f"wd_residual <= {WD_TARGET:g}", residual <= WD_TARGET))
 
-    p_st = conditional_probability(
-        ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP), spec, quad
-    )
-    p_td = conditional_probability(
-        ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.SHARP), spec, quad
-    )
+    p_st = conditional_probability(ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP), spec)
+    p_td = conditional_probability(ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.SHARP), spec)
     checks.append(_check("P_sharp_stationary", p_st, "1 +- 1e-12", abs(p_st - 1.0) <= 1e-12))
     checks.append(_check("P_sharp_timeavg", p_td, "0.75 +- 1e-10", abs(p_td - 0.75) <= 1e-10))
 
@@ -557,20 +548,16 @@ def _finish_checks(command: str, meta_items, checks: list[dict], config: RunConf
 
 
 def cmd_report(config: RunConfig) -> int:
-    spec = ClockSpec(config.omega)
-    quad = QuadratureSpec(config.panels)
-    meta = [("omega", config.omega), ("panels", config.panels)]
-    return _finish_checks("report", meta, _report_checks(spec, quad), config)
+    meta = [("omega", config.omega), ("panels", PANELS)]
+    return _finish_checks("report", meta, _report_checks(ClockSpec(config.omega)), config)
 
 
 def cmd_wd_check(config: RunConfig) -> int:
-    spec = ClockSpec(config.omega)
-    quad = QuadratureSpec(config.panels)
-    residual = _dimensionless_wd_residual(spec, quad)
+    residual = _dimensionless_wd_residual(ClockSpec(config.omega))
     checks = [
         _check("wd_residual", residual, f"wd_residual <= {WD_TARGET:g}", residual <= WD_TARGET)
     ]
-    meta = [("omega", config.omega), ("panels", config.panels)]
+    meta = [("omega", config.omega), ("panels", PANELS)]
     return _finish_checks("wd-check", meta, checks, config)
 
 
@@ -603,11 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout)")
     output.add_argument("--format", choices=("csv", "json"), default=RunConfig.format)
 
-    quad = _Parser(add_help=False)
-    quad.add_argument("--panels", type=int, default=RunConfig.panels,
-                      help=f"periodic-trapezoid nodes per period: even, at least {MIN_PANELS}, "
-                           f"exact from {MIN_PANELS} on (default {RunConfig.panels})")
-
     grid = _Parser(add_help=False)
     grid.add_argument("--grid-n", type=int, default=RunConfig.grid_n, help="sharpness grid points per axis")
 
@@ -623,15 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="Leggett-Garg combination over a phase-gap window")
     sub.set_defaults(handler=lambda args: cmd_lgi_scan(_config_from(args)))
 
-    sub = subparsers.add_parser("cond-surface", parents=[clock, output, quad, grid],
+    sub = subparsers.add_parser("cond-surface", parents=[clock, output, grid],
                                 help="conditional probabilities over the sharpness grid")
     sub.set_defaults(handler=lambda args: cmd_cond_surface(_config_from(args)))
 
-    sub = subparsers.add_parser("cond-slice", parents=[clock, output, quad, grid],
+    sub = subparsers.add_parser("cond-slice", parents=[clock, output, grid],
                                 help="conditional probabilities along lambda_c = lambda_r")
     sub.set_defaults(handler=lambda args: cmd_cond_slice(_config_from(args)))
 
-    sub = subparsers.add_parser("report", parents=[clock, output, quad],
+    sub = subparsers.add_parser("report", parents=[clock, output],
                                 help="run every headline check and summarize")
     sub.set_defaults(handler=lambda args: cmd_report(_config_from(args)))
 
@@ -640,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dim", type=int, required=True, help="spacetime dimension (>= 3)")
     sub.set_defaults(handler=lambda args: cmd_dof(_config_from(args), args.dim))
 
-    sub = subparsers.add_parser("wd-check", parents=[clock, output, quad],
+    sub = subparsers.add_parser("wd-check", parents=[clock, output],
                                 help="verify the averaged state is annihilated by the generator")
     sub.set_defaults(handler=lambda args: cmd_wd_check(_config_from(args)))
     return parser

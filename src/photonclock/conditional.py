@@ -10,8 +10,8 @@ The headline quantity is P(V on system | H on clock) = Tr[E rho] / Tr[E_c rho],
 with E = (I + lambda_c Q_c)(I - lambda_r Q_r)/4 and E_c = (I + lambda_c Q_c)/2.
 Both are affine in the sharpness, so a preparation enters only through the
 moments <I>, <Q_c>, <Q_r>, <Q_c Q_r>, each taken in the queried formalism and
-cached per preparation, node count and formalism; the per-effect ratio is the
-tests' oracle. Closed forms, with clock and system sharpness lambda_c, lambda_r:
+cached per preparation and formalism; the per-effect ratio is the tests'
+oracle. Closed forms, with clock and system sharpness lambda_c, lambda_r:
 
     stationary, sharp        : 1
     time dependent, sharp    : 3/4
@@ -20,9 +20,9 @@ tests' oracle. Closed forms, with clock and system sharpness lambda_c, lambda_r:
 
 so entanglement buys exactly lambda_c*lambda_r/4. All period integrals are
 evaluated in the phase variable theta = omega*t with the periodic trapezoid
-rule, which makes every result independent of omega bit for bit. The
-integrands are trigonometric polynomials of degree <= 4 in theta, so the
-rule is exact once it has more than 4 nodes.
+rule at PANELS nodes, which makes every result independent of omega bit for
+bit. The integrands are trigonometric polynomials of degree <= 4 in theta, so
+the rule is exact once it has more than 4 nodes.
 """
 
 from __future__ import annotations
@@ -40,23 +40,12 @@ from .measurement import SHARP, SharpnessPair, dichotomic_observable
 from .qstate import Subsystem, projector, trace_of_product
 
 DEGENERATE_DENOMINATOR = 1e-14
-MIN_PANELS = 6  # smallest even node count above the integrand degree 4
+# periodic-trapezoid nodes per period: more than the integrand degree 4, so the rule is exact
+PANELS = 8
 
 _Q_C, _Q_R = dichotomic_observable(Subsystem.CLOCK), dichotomic_observable(Subsystem.SYSTEM)
 # both are diagonal, so Q_c Q_r is their elementwise product; a matmul would start BLAS at import
 _MOMENTS = (np.eye(4, dtype=complex), _Q_C, _Q_R, _Q_C * _Q_R)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Periodic trapezoid rule over one full period: the plain mean over
-    `panels` equally spaced phase nodes. Even, and at least MIN_PANELS."""
-
-    panels: int = 8
-
-    def __post_init__(self):
-        if not (isinstance(self.panels, int) and self.panels >= MIN_PANELS and self.panels % 2 == 0):
-            raise ValueError(f"panels must be an even integer >= {MIN_PANELS}")
 
 
 class StateKind(enum.Enum):
@@ -93,24 +82,20 @@ class ConditionalQuery:
         return SHARP if self.measurement_kind is MeasurementKind.SHARP else self.sharpness
 
 
-def _phase_nodes(panels: int) -> np.ndarray:
-    """2*pi*k/panels for k = 0 .. panels-1; the endpoint repeats the start."""
-    return 2.0 * math.pi * np.arange(panels) / panels
-
-
-@functools.lru_cache(maxsize=8)
-def _evolving_ensemble(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The product pair at the phase nodes, and rho_bar, the mean of their projectors."""
-    states = product_state_phase(_phase_nodes(panels))
-    rho = np.einsum("ni,nj->ij", states, states.conj()) / panels
+@functools.cache
+def _evolving_ensemble() -> tuple[np.ndarray, np.ndarray]:
+    """The product pair at the phase nodes 2*pi*k/PANELS, k = 0 .. PANELS-1 (k = PANELS
+    would repeat k = 0), and rho_bar, the mean of their projectors."""
+    states = product_state_phase(2.0 * math.pi * np.arange(PANELS) / PANELS)
+    rho = np.einsum("ni,nj->ij", states, states.conj()) / PANELS
     states.setflags(write=False)
     rho.setflags(write=False)
     return states, rho
 
 
-@functools.lru_cache(maxsize=8)
-def _stationary_cached(panels: int) -> np.ndarray:
-    averaged = _evolving_ensemble(panels)[0].mean(axis=0)
+@functools.cache
+def _stationary_cached() -> np.ndarray:
+    averaged = _evolving_ensemble()[0].mean(axis=0)
     norm = float(np.linalg.norm(averaged))
     if norm < DEGENERATE_DENOMINATOR:
         raise NumericalIntegrityError("one-period amplitude average vanished")
@@ -122,26 +107,26 @@ def _stationary_cached(panels: int) -> np.ndarray:
     return state
 
 
-def _stationary_ensemble(panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_ensemble() -> tuple[np.ndarray, np.ndarray]:
     """The stationary singlet as a one-member ensemble, and its projector."""
-    psi = _stationary_cached(panels)
+    psi = _stationary_cached()
     return psi[np.newaxis, :], projector(psi)
 
 
 _ENSEMBLES = {StateKind.STATIONARY: _stationary_ensemble, StateKind.TIME_DEPENDENT: _evolving_ensemble}
 
 
-def stationary_state(spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+def stationary_state(spec: ClockSpec) -> np.ndarray:
     """One-period componentwise amplitude average of the product pair, normalized.
 
     The global phase is fixed by making the HV amplitude real and positive.
-    The result is the polarization singlet up to roundoff. It is cached per
-    node count, and each call returns a fresh copy; the conditionals read its
-    moments, cached per preparation, node count and formalism. `spec` is
-    accepted but not read: the average is taken in the phase variable, so
-    it does not depend on omega.
+    The result is the polarization singlet up to roundoff. It is computed
+    once, and each call returns a fresh copy; the conditionals read its
+    moments, cached per preparation and formalism. `spec` is accepted but
+    not read: the average is taken in the phase variable, so it does not
+    depend on omega.
     """
-    return _stationary_cached(quad.panels).copy()
+    return _stationary_cached().copy()
 
 
 def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formalism: Formalism) -> float:
@@ -151,32 +136,30 @@ def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formal
     return trace_of_product(effect, rho).real
 
 
-@functools.lru_cache(maxsize=32)
-def _moments(kind: StateKind, panels: int, formalism: Formalism) -> tuple[float, float, float, float]:
+@functools.cache
+def _moments(kind: StateKind, formalism: Formalism) -> tuple[float, float, float, float]:
     """<I>, <Q_c>, <Q_r>, <Q_c Q_r> of a preparation, each taken in the given formalism.
 
-    Cached per preparation, node count and formalism, so the amplitude and
-    density-matrix moments are kept apart and still check each other.
+    Cached per preparation and formalism, so the amplitude and density-matrix
+    moments are kept apart and still check each other.
     """
-    states, rho = _ENSEMBLES[kind](panels)
+    states, rho = _ENSEMBLES[kind]()
     return tuple(_expectation(op, states, rho, formalism) for op in _MOMENTS)
 
 
-def conditional_probability(
-    query: ConditionalQuery, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
-) -> float | np.ndarray:
+def conditional_probability(query: ConditionalQuery, spec: ClockSpec) -> float | np.ndarray:
     """P(V on system | H on clock) for the queried preparation and readout.
 
     A float for a scalar sharpness pair, an array for an array pair. All four
     moments go through the same formalism; for the evolving preparation they
     are one-period averages taken before the ratio. The moments are cached
-    per preparation, node count and formalism, so a call is arithmetic on
-    four numbers. `spec` is accepted but not read: every result is taken in
-    the phase variable, so none depends on omega.
+    per preparation and formalism, so a call is arithmetic on four numbers.
+    `spec` is accepted but not read: every result is taken in the phase
+    variable, so none depends on omega.
     """
     lam = query.effective_sharpness
     lam_c, lam_r = np.asarray(lam.lambda_c, dtype=float), np.asarray(lam.lambda_r, dtype=float)
-    m0, m_c, m_r, m_cr = _moments(query.state_kind, quad.panels, query.formalism)
+    m0, m_c, m_r, m_cr = _moments(query.state_kind, query.formalism)
     numerator = (m0 + lam_c * m_c - lam_r * m_r - lam_c * lam_r * m_cr) / 4.0
     denominator = (m0 + lam_c * m_c) / 2.0
     if np.any(denominator < DEGENERATE_DENOMINATOR):
@@ -187,19 +170,17 @@ def conditional_probability(
     return float(value) if value.ndim == 0 else value
 
 
-def entanglement_advantage(
-    pair: SharpnessPair, spec: ClockSpec, quad: QuadratureSpec = QuadratureSpec()
-) -> float | np.ndarray:
+def entanglement_advantage(pair: SharpnessPair, spec: ClockSpec) -> float | np.ndarray:
     """Stationary minus time-dependent unsharp conditional, lambda_c*lambda_r/4; shaped like the pair.
 
-    Both terms come from the cached moments of their preparation (per node
-    count, density-matrix formalism). `spec` is accepted but not read: the
+    Both terms come from the cached moments of their preparation, taken in
+    the density-matrix formalism. `spec` is accepted but not read: the
     result is taken in the phase variable, so it does not depend on omega.
     """
     stationary = conditional_probability(
-        ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec, quad
+        ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec
     )
     evolving = conditional_probability(
-        ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair), spec, quad
+        ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair), spec
     )
     return stationary - evolving

@@ -167,8 +167,6 @@ def lgi_value(
 
 def lgi_functional(x) -> float | np.ndarray:
     """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination."""
-    if isinstance(x, float):  # a float gives a float with no 0-d array round trip
-        return float(3.0 * np.cos(2.0 * x) - np.cos(6.0 * x))
     xv = np.asarray(x, dtype=float)
     value = 3.0 * np.cos(2.0 * xv) - np.cos(6.0 * xv)
     return float(value) if np.isscalar(x) or xv.ndim == 0 else value

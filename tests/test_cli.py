@@ -47,9 +47,11 @@ class TestArgumentHandling:
         assert main(["lgi-scan", "--x-min", "2.0", "--x-max", "1.0"]) == 1
         assert main(["lgi-scan", "--x-min", "-0.5"]) == 1
 
-    def test_bad_panels(self, capsys):
-        assert main(["cond-slice", "--panels", "7"]) == 1
-        assert main(["report", "--panels", "4"]) == 1
+    def test_panels_is_not_an_option(self, capsys):
+        # the period average is exact at its one node count, conditional.PANELS
+        for command in ("cond-surface", "cond-slice", "report", "wd-check"):
+            assert main([command, "--panels", "8"]) == 1
+            assert "unrecognized arguments: --panels 8" in capsys.readouterr().err
 
     def test_envelope_caps_are_usage_errors(self, capsys):
         # each cap is tested one step past it, through the rejection path only
@@ -63,9 +65,6 @@ class TestArgumentHandling:
         assert main(["cond-surface", "--grid-n", "1025"]) == 1
         assert main(["cond-slice", "--grid-n", "1025"]) == 1
         assert "grid-n must be at most 1024" in capsys.readouterr().err
-        for command in ("cond-surface", "cond-slice", "report", "wd-check"):
-            assert main([command, "--panels", str(2**16 + 2)]) == 1
-            assert "panels must be at most 65536" in capsys.readouterr().err
 
     def test_scan_at_the_edge_of_the_window_passes_its_cross_check(self, capsys):
         assert main(["lgi-scan", "--x-min", "9990", "--x-max", "10000", "--x-steps", "64"]) == 0
@@ -188,9 +187,7 @@ class TestLgiScan:
 
 class TestConditionalCommands:
     def test_slice_values(self, capsys):
-        rc, out, _ = run_to_text(
-            capsys, ["cond-slice", "--grid-n", "5", "--panels", "64"]
-        )
+        rc, out, _ = run_to_text(capsys, ["cond-slice", "--grid-n", "5"])
         assert rc == 0
         rows = data_lines(out)[1:]
         assert len(rows) == 5
@@ -201,9 +198,7 @@ class TestConditionalCommands:
         assert data_lines(out)[0] == "lambda,P_stationary,P_timeavg"
 
     def test_surface_values(self, capsys):
-        rc, out, _ = run_to_text(
-            capsys, ["cond-surface", "--grid-n", "4", "--panels", "64"]
-        )
+        rc, out, _ = run_to_text(capsys, ["cond-surface", "--grid-n", "4"])
         assert rc == 0
         rows = data_lines(out)[1:]
         assert len(rows) == 16
@@ -214,9 +209,7 @@ class TestConditionalCommands:
             assert adv == pytest.approx(lc * lr / 4.0, abs=1e-10)
 
     def test_surface_is_row_major_in_clock_sharpness(self, capsys):
-        rc, out, _ = run_to_text(
-            capsys, ["cond-surface", "--grid-n", "3", "--panels", "64"]
-        )
+        rc, out, _ = run_to_text(capsys, ["cond-surface", "--grid-n", "3"])
         assert rc == 0
         pairs = [tuple(map(float, row.split(",")[:2])) for row in data_lines(out)[1:]]
         grid = [0.0, 0.5, 1.0]
@@ -235,8 +228,8 @@ class TestConditionalCommands:
         # a conditional that is off the closed form, or NaN, at one grid point only
         real = cli.conditional_probability
 
-        def off_at_one_point(query, spec, quad):
-            values = real(query, spec, quad)
+        def off_at_one_point(query, spec):
+            values = real(query, spec)
             if query.state_kind is cli.StateKind.TIME_DEPENDENT:
                 values[index] += error
             return values
@@ -328,11 +321,11 @@ class TestFilesAndDeterminism:
         "argv",
         [
             ["lgi-scan", "--x-steps", "16"],
-            ["cond-surface", "--grid-n", "3", "--panels", "64"],
-            ["cond-slice", "--grid-n", "3", "--panels", "64"],
-            ["report", "--panels", "64"],
+            ["cond-surface", "--grid-n", "3"],
+            ["cond-slice", "--grid-n", "3"],
+            ["report"],
             ["dof", "--dim", "4"],
-            ["wd-check", "--panels", "64"],
+            ["wd-check"],
         ],
         ids=["lgi-scan", "cond-surface", "cond-slice", "report", "dof", "wd-check"],
     )
@@ -348,10 +341,10 @@ class TestFilesAndDeterminism:
         "argv",
         [
             ["lgi-scan", "--x-steps", "16"],
-            ["cond-surface", "--grid-n", "3", "--panels", "64"],
-            ["cond-slice", "--grid-n", "3", "--panels", "64"],
-            ["report", "--panels", "64"],
-            ["wd-check", "--panels", "64"],
+            ["cond-surface", "--grid-n", "3"],
+            ["cond-slice", "--grid-n", "3"],
+            ["report"],
+            ["wd-check"],
         ],
         ids=["lgi-scan", "cond-surface", "cond-slice", "report", "wd-check"],
     )
@@ -393,7 +386,6 @@ VALID = {
     "--omega": ["1", "2.5", "5e-324", "1e300"],
     "--format": ["csv", "json"],
     "--out": [OUT_FILE],
-    "--panels": ["6", "8", "64"],
     "--grid-n": ["2", "3", "17", "64"],
     "--x-min": ["0", "0.5", "3"],
     "--x-max": ["0.5", "4", "10000"],
@@ -404,7 +396,6 @@ INVALID = {
     "--omega": ["0", "-1", "nan", "inf", "abc"],
     "--format": ["yaml"],
     "--out": [OUT_IN_MISSING_DIR],
-    "--panels": ["7", "4", "0", "-2", str(cli._MAX_PANELS + 2), "x"],
     "--grid-n": ["1", "0", "-5", str(cli._MAX_GRID_N + 1), "2.5"],
     "--x-min": ["-1", "nan", "inf", "1e300", "zero"],
     "--x-max": [repr(float(np.nextafter(cli._X_MAX, np.inf))), "1e5", "nan", "-inf"],
@@ -414,11 +405,11 @@ INVALID = {
 COMMON = ("--omega", "--format", "--out")
 OWN_FLAGS = {
     "lgi-scan": COMMON + ("--x-min", "--x-max", "--x-steps"),
-    "cond-surface": COMMON + ("--panels", "--grid-n"),
-    "cond-slice": COMMON + ("--panels", "--grid-n"),
-    "report": COMMON + ("--panels",),
+    "cond-surface": COMMON + ("--grid-n",),
+    "cond-slice": COMMON + ("--grid-n",),
+    "report": COMMON,
     "dof": ("--format", "--out", "--dim"),
-    "wd-check": COMMON + ("--panels",),
+    "wd-check": COMMON,
 }
 stray = st.sampled_from([["--bogus"], ["--help"], ["-h"], ["extra"], ["--x-steps"], ["--dim="], ["frobnicate"]])
 

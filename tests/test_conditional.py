@@ -16,7 +16,6 @@ from photonclock import (
     Formalism,
     MeasurementKind,
     Outcome,
-    QuadratureSpec,
     SharpnessPair,
     StateKind,
     conditional_probability,
@@ -27,6 +26,7 @@ from photonclock import (
     unsharp_effects,
     wd_residual,
 )
+from photonclock.conditional import PANELS
 from photonclock.dynamics import product_state_phase
 from photonclock.qstate import ket, projector, tensor_product, trace_of_product
 
@@ -36,13 +36,29 @@ SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def per_effect_ratio(kind, pair, panels):
-    """Test oracle: Tr[E rho] / Tr[E_c rho] with the effects built outright."""
+# node counts for the test-built period average: the smallest exact one, one
+# that does not divide into the library's PANELS, and a dense refinement
+ORACLE_PANELS = (6, 10, 4096)
+
+
+def averaged_state(panels):
+    """Test oracle: the product pair's amplitude mean over `panels` phase nodes,
+    normalized, with its HV amplitude made real and positive."""
+    mean = product_state_phase(2.0 * math.pi * np.arange(panels) / panels).mean(axis=0)
+    psi = mean / np.linalg.norm(mean)
+    return psi * (abs(psi[1]) / psi[1])
+
+
+def preparation(kind, panels=PANELS):
+    """Test oracle: a preparation's density matrix, averaged over `panels` phase nodes."""
     if kind is StateKind.STATIONARY:
-        rho = projector(stationary_state(UNIT, QuadratureSpec(panels)))
-    else:
-        states = product_state_phase(2.0 * math.pi * np.arange(panels) / panels)
-        rho = sum(projector(psi) for psi in states) / panels
+        return projector(averaged_state(panels))
+    states = product_state_phase(2.0 * math.pi * np.arange(panels) / panels)
+    return sum(projector(psi) for psi in states) / panels
+
+
+def per_effect_ratio(pair, rho):
+    """Test oracle: Tr[E rho] / Tr[E_c rho] with the effects built outright."""
     effect = joint_effect(pair, Outcome.H, Outcome.V)
     effect_clock = tensor_product(unsharp_effects(pair.lambda_c)[0], np.eye(2))
     return (trace_of_product(effect, rho) / trace_of_product(effect_clock, rho)).real
@@ -56,21 +72,9 @@ def fresh_moments():
     conditional_module._moments.cache_clear()
 
 
-class TestQuadratureSpec:
-    def test_default_panels(self):
-        assert QuadratureSpec().panels == 8
-
-    def test_rejects_bad_panel_counts(self):
-        for panels in (0, -2, 2, 4, 7, 4096.0):
-            with pytest.raises(ValueError):
-                QuadratureSpec(panels)
-
-
 class TestStationaryState:
     def test_equals_singlet_in_fixed_gauge(self):
-        for quad in (QuadratureSpec(), QuadratureSpec(6)):
-            psi = stationary_state(UNIT, quad)
-            np.testing.assert_allclose(psi, SINGLET, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(stationary_state(UNIT), SINGLET, rtol=0.0, atol=1e-15)
 
     def test_unit_norm(self):
         assert np.linalg.norm(stationary_state(UNIT)) == pytest.approx(1.0, abs=1e-14)
@@ -91,9 +95,8 @@ class TestStationaryState:
         np.testing.assert_allclose(second, SINGLET, atol=1e-12)
 
     def test_converged_at_modest_panel_count(self):
-        coarse = stationary_state(UNIT, QuadratureSpec(16))
-        fine = stationary_state(UNIT, QuadratureSpec(4096))
-        np.testing.assert_allclose(coarse, fine, atol=1e-13)
+        for panels in ORACLE_PANELS:
+            np.testing.assert_allclose(stationary_state(UNIT), averaged_state(panels), rtol=0.0, atol=1e-13)
 
 
 class TestSharpConditionals:
@@ -158,7 +161,7 @@ class TestUnsharpConditionals:
 
     def test_formalisms_agree_on_a_grid(self):
         grid = np.linspace(0.0, 1.0, 11)
-        for quad, lc, lr in itertools.product((QuadratureSpec(), QuadratureSpec(6)), grid, grid):
+        for lc, lr in itertools.product(grid, grid):
             pair = SharpnessPair(float(lc), float(lr))
             closed = {
                 StateKind.STATIONARY: (1.0 + lc * lr) / 2.0,
@@ -170,14 +173,12 @@ class TestUnsharpConditionals:
                         kind, MeasurementKind.UNSHARP, pair, Formalism.AMPLITUDE
                     ),
                     UNIT,
-                    quad,
                 )
                 dm = conditional_probability(
                     ConditionalQuery(
                         kind, MeasurementKind.UNSHARP, pair, Formalism.DENSITY_MATRIX
                     ),
                     UNIT,
-                    quad,
                 )
                 assert abs(amp - dm) <= 1e-12
                 # the trapezoid rule is exact here, so only roundoff remains
@@ -187,22 +188,22 @@ class TestUnsharpConditionals:
     @given(sharpness, sharpness)
     def test_moment_form_matches_the_per_effect_ratio(self, lc, lr):
         pair = SharpnessPair(lc, lr)
-        for kind, formalism, panels in itertools.product(StateKind, Formalism, (6, 8)):
+        for kind, formalism in itertools.product(StateKind, Formalism):
             query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism)
-            p = conditional_probability(query, UNIT, QuadratureSpec(panels))
-            assert abs(p - per_effect_ratio(kind, pair, panels)) <= 1e-15
+            p = conditional_probability(query, UNIT)
+            assert abs(p - per_effect_ratio(pair, preparation(kind))) <= 1e-15
 
     @pytest.mark.usefixtures("fresh_moments")
     def test_moment_form_holds_on_a_generic_state(self, monkeypatch):
         # all four moments are nonzero here; on the two physical preparations <Q_c> = <Q_r> = 0
         psi = np.array([0.6, 0.5, 0.3j, -0.2 + 0.1j]) / math.sqrt(0.75)
-        monkeypatch.setattr(conditional_module, "_stationary_cached", lambda panels: psi)
+        monkeypatch.setattr(conditional_module, "_stationary_cached", lambda: psi)
         grid = np.linspace(0.0, 1.0, 6)
         for lc, lr, formalism in itertools.product(grid.tolist(), grid.tolist(), Formalism):
             pair = SharpnessPair(lc, lr)
             query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair, formalism)
             p = conditional_probability(query, UNIT)
-            assert abs(p - per_effect_ratio(StateKind.STATIONARY, pair, 8)) <= 1e-15
+            assert abs(p - per_effect_ratio(pair, projector(psi))) <= 1e-15
 
     def test_array_call_equals_scalar_calls(self):
         grid = np.linspace(0.0, 1.0, 7)
@@ -245,20 +246,24 @@ class TestUnsharpConditionals:
         )
 
     def test_panel_refinement_is_converged(self):
-        pair = SharpnessPair(0.8, 0.5)
-        query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
-        coarse = conditional_probability(query, UNIT, QuadratureSpec(32))
-        fine = conditional_probability(query, UNIT, QuadratureSpec(4096))
-        assert abs(coarse - fine) <= 1e-12
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        for panels in ORACLE_PANELS:
+            rhos = {kind: preparation(kind, panels) for kind in StateKind}
+            for lc, lr, kind, formalism in itertools.product(grid, grid, StateKind, Formalism):
+                pair = SharpnessPair(lc, lr)
+                oracle = per_effect_ratio(pair, rhos[kind])
+                p = conditional_probability(ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism), UNIT)
+                assert abs(p - oracle) <= 1e-12
+                if panels < 4096:  # exact at a modest count; the dense sum's own roundoff comes near 1e-15
+                    closed = (1.0 + lc * lr) / 2.0 if kind is StateKind.STATIONARY else (2.0 + lc * lr) / 4.0
+                    assert abs(oracle - closed) <= 1e-15
 
     @pytest.mark.usefixtures("fresh_moments")
     def test_degenerate_conditioning_raises(self, monkeypatch):
         # Force a preparation with no H component on the clock side so a
         # sharp clock projection has nothing to condition on.
         frozen = ket("VV")
-        monkeypatch.setattr(
-            conditional_module, "_stationary_cached", lambda panels: frozen
-        )
+        monkeypatch.setattr(conditional_module, "_stationary_cached", lambda: frozen)
         query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP)
         with pytest.raises(DegenerateConditioningError):
             conditional_module.conditional_probability(query, UNIT)
@@ -276,15 +281,21 @@ class TestMomentsCache:
 
         monkeypatch.setattr(conditional_module, "_expectation", counted)
         pair = SharpnessPair(np.linspace(0.0, 1.0, 5), 0.3)
-        for panels, kind, formalism in itertools.product((8, 10), StateKind, Formalism):
+        for kind, formalism in itertools.product(StateKind, Formalism):
             query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism)
             before = len(calls)
-            conditional_probability(query, UNIT, QuadratureSpec(panels))
+            conditional_probability(query, UNIT)
             assert len(calls) - before == 4
-            conditional_probability(query, UNIT, QuadratureSpec(panels))
+            conditional_probability(query, UNIT)
             sharp = ConditionalQuery(kind, MeasurementKind.SHARP, formalism=formalism)
-            conditional_probability(sharp, UNIT, QuadratureSpec(panels))
+            conditional_probability(sharp, UNIT)
             assert len(calls) - before == 4
+
+    def test_moments_match_other_node_counts(self):
+        for panels, kind, formalism in itertools.product(ORACLE_PANELS, StateKind, Formalism):
+            rho = preparation(kind, panels)
+            oracle = [trace_of_product(op, rho).real for op in conditional_module._MOMENTS]
+            np.testing.assert_allclose(conditional_module._moments(kind, formalism), oracle, rtol=0.0, atol=1e-13)
 
 
 class TestEntanglementAdvantage:
