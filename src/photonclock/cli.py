@@ -13,10 +13,15 @@ them. Bools and ints are the same text in both. A float column is a 1-d
 array, or a factored pair (values, index) that stands for values[index]:
 cond-surface passes its two sharpness axes so, and the writer formats each
 grid value once per block and gathers the cells by the index, never sorting
-those columns. Rows are written in blocks of BLOCK_ROWS, so memory stays
-bounded at every size, and --out is replaced atomically once complete.
-Every reported quantity is dimensionless, which makes the data independent
-of --omega.
+those columns. The other float columns of a block are sorted once together:
+when their rows form at most half as many groups of equal bits as there are
+rows, each group's values are formatted once and gathered the same way. Rows
+are written in blocks of BLOCK_ROWS, so memory stays bounded at every size.
+The text stays bytes from the block to the file, and stdout is written
+through sys.stdout.buffer. --out is replaced atomically once complete; a
+symlink is followed to the file it names, and that file is replaced. Every
+reported quantity is dimensionless, which makes the data independent of
+--omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
 memory included), 3 numerical integrity.
@@ -69,7 +74,7 @@ _MAX_GRID_N = 1024
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
 
-_BOOL_CELLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # NUL-padded, as every cell
+_BOOL_CELLS = np.array([b"false", b"true"]).view("V5")  # NUL-padded, as every cell
 
 
 def _split(a):
@@ -183,19 +188,27 @@ def _meta_object(command: str, items: list[tuple[str, object]]) -> dict:
     return meta
 
 
-def _repeats(values: np.ndarray):
-    """``(distinct, inverse)`` with ``distinct[inverse]`` equal to ``values``, when at most
-    half of the values are distinct; otherwise None.
+def _row_groups(columns):
+    """``(first, inverse)`` with ``column[first][inverse]`` equal to each of the block's plain
+    columns, when at most half of the rows start a group; otherwise None.
 
-    Values are told apart by their bits, so -0.0 stays apart from 0.0.
+    One argsort on the bits of the first column orders the rows, and a group
+    starts wherever the bits of any column change, so the rows of a group share
+    their bits in every column and -0.0 stays apart from 0.0. A tie in the first
+    column that splits in another column just splits the group: a value may then
+    be formatted twice, but never wrongly.
     """
-    bits = values.view(f"u{values.itemsize}")
-    ordered = np.sort(bits)
-    steps = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(steps)) > bits.size:
-        return None
-    distinct = np.concatenate((ordered[:1], ordered[1:][steps]))  # sorted, so each row finds its value by bisection
-    return distinct.view(values.dtype), np.searchsorted(distinct, bits)
+    order = np.argsort(columns[0].view(f"u{columns[0].itemsize}"))
+    starts = np.zeros(order.size, bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column.view(f"u{column.itemsize}").take(order)
+        starts[1:] |= ordered[1:] != ordered[:-1]
+        if 2 * np.count_nonzero(starts) > starts.size:  # a further column only adds starts
+            return None
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -270,15 +283,16 @@ def _json_float_cells(values: np.ndarray) -> np.ndarray:
     return np.fromiter(text, f"S{_CELL}", values.size).view(np.uint8).reshape(-1, _CELL)
 
 
-def _text_block(columns, pieces, float_cells) -> str:
-    """One block of rows as text, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
+def _text_block(columns, pieces, float_cells) -> bytearray:
+    """One block of rows as ASCII bytes, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
 
     The rows are laid out from one repeated row template in a NUL-padded byte
     matrix, whose NULs are then dropped. The floats of all float columns go
     through one float_cells call, which gives each its text in a 24-byte cell.
-    A factored column sends its values, and a float column with at most half
-    of its values distinct sends only those; their rows gather their cells
-    through the index. Bools and ints are the same text in every format.
+    A factored column sends its values. When the plain float columns form at
+    most half as many row groups as rows (_row_groups), each sends one value a
+    group. Either way the rows gather their cells through the index, and each
+    cell is written as one item. Bools and ints are the same text in every format.
     """
     rows = _row_count(columns[0])
     widths = [
@@ -292,25 +306,28 @@ def _text_block(columns, pieces, float_cells) -> str:
         template += bytes(width)
     text = (template + pieces[-1]) * rows
     matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
-    floats, slots = [], []
+    floats, slots, plain = [], [], []  # values to format; (cells, index or None); plain (values, cells)
     for values, start, width in zip(columns, starts, widths):
         cells = matrix[:, start : start + width]
         if isinstance(values, tuple):
             floats.append(values[0])
             slots.append((cells, values[1]))
         elif values.dtype == np.bool_:
-            cells[:] = _BOOL_CELLS.take(values.view(np.uint8), axis=0)
+            cells.view("V5")[:, 0] = _BOOL_CELLS.take(values.view(np.uint8))
         elif values.dtype.kind in "iu":
-            cells[:] = values.astype("S20").view(np.uint8).reshape(rows, 20)  # exact for all of int64
+            cells.view("V20")[:, 0] = values.astype("S20").view("V20")  # exact for all of int64
         else:
-            repeats = _repeats(values)
-            floats.append(values if repeats is None else repeats[0])
-            slots.append((cells, None if repeats is None else repeats[1]))
+            plain.append((values, cells))
+    groups = _row_groups([values for values, _ in plain]) if plain else None
+    for values, cells in plain:
+        floats.append(values if groups is None else values.take(groups[0]))
+        slots.append((cells, None if groups is None else groups[1]))
     if floats:
         parts = np.split(float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
-        for (cells, inverse), part in zip(slots, parts):
-            cells[:] = part if inverse is None else part.take(inverse, axis=0)
-    return text.translate(None, b"\0").decode("ascii")
+        for (cells, index), part in zip(slots, parts):
+            part = part.view(f"V{_CELL}")[:, 0]  # one 24-byte item a cell
+            cells.view(f"V{_CELL}")[:, 0] = part if index is None else part.take(index)
+    return text.translate(None, b"\0")
 
 
 def _blocks(columns):
@@ -340,32 +357,44 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
         pieces = ["\n", *[","] * (len(fieldnames) - 1), ""]
         float_cells = _float_cells
     pieces = [piece.encode("ascii") for piece in pieces]
-    handle.write(head)
+    handle.write(head.encode("utf-8"))
     for index, block in enumerate(_blocks(columns)):
         text = _text_block(block, pieces, float_cells)
-        handle.write(text[1:] if index == 0 and fmt == "json" else text)  # no comma before the first row
-    handle.write(tail)
+        if index == 0 and fmt == "json":
+            text = memoryview(text)[1:]  # no comma before the first row
+        handle.write(text)
+    handle.write(tail.encode("utf-8"))
 
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """A text handle on stdout, or on a temp file that replaces ``path`` once complete.
+    """A binary handle on stdout, or on a temp file that replaces ``path`` once complete.
 
-    A run that fails while writing leaves an existing ``path`` untouched and
-    no temp file behind. The new file gets the mode ``open(path, "w")`` would
-    give it. A path that exists and is not a regular file, such as a FIFO or
-    /dev/null, is written directly.
+    Stdout is written through ``sys.stdout.buffer``, after the text already
+    printed to ``sys.stdout`` is flushed; a ``sys.stdout`` without a buffer is
+    an OSError. A run that fails while writing leaves an existing ``path``
+    untouched and no temp file behind. The new file gets the mode
+    ``open(path, "w")`` would give it. One ``lstat`` finds the target: only a
+    symlink is resolved, to the file it finally names. A path that exists and is
+    not a regular file, such as a FIFO or /dev/null, is written directly.
     """
     if not path:
-        yield sys.stdout
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:
+            raise OSError("stdout has no binary buffer to write to")
+        sys.stdout.flush()
+        yield stdout
         return
-    target = os.path.realpath(path)
+    target = path
     try:
-        mode = os.stat(target).st_mode
+        mode = os.lstat(target).st_mode
+        if stat.S_ISLNK(mode):
+            target = os.path.realpath(path)
+            mode = os.stat(target).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+        with open(target, "wb") as handle:
             yield handle
         return
     if mode is None:
@@ -374,7 +403,7 @@ def _output(path: str | None):
         mode = 0o666 & ~umask
     fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
+        with open(fd, "wb") as handle:
             os.fchmod(fd, stat.S_IMODE(mode))
             yield handle
         os.replace(temp, target)
@@ -539,7 +568,7 @@ def _render_checks(command: str, meta_items, checks: list[dict], fmt: str) -> st
 
 def _finish_checks(command: str, meta_items, checks: list[dict], config: RunConfig) -> int:
     with _output(config.output_path) as handle:
-        handle.write(_render_checks(command, meta_items, checks, config.format))
+        handle.write(_render_checks(command, meta_items, checks, config.format).encode("utf-8"))
     failing = [check["name"] for check in checks if not check["pass"]]
     if failing:
         print(f"{TOOL} {command}: failed checks: {', '.join(failing)}", file=sys.stderr)

@@ -21,11 +21,15 @@ def run_to_text(capsys, argv):
 
 
 def run_captured(argv):
-    """main(argv) with its own capture, for property tests that cannot take capsys."""
-    out, err = io.StringIO(), io.StringIO()
+    """main(argv) with its own capture, for property tests that cannot take capsys.
+
+    Stdout is a text stream over bytes, as a real one is: datasets go to its buffer.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return rc, out.getvalue(), err.getvalue()
+    out.flush()
+    return rc, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def data_lines(text):
@@ -309,6 +313,25 @@ class TestFilesAndDeterminism:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_text_printed_before_a_dataset_comes_first(self):
+        # a text stream holds what print() wrote until it is flushed; the dataset bytes go under it
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            print("before")
+            assert main(["dof", "--dim", "4"]) == 0
+            print("after")
+        out.flush()
+        lines = out.buffer.getvalue().decode("utf-8").splitlines()
+        assert lines[0] == "before" and lines[1].startswith("# photonclock dof")
+        assert lines[-2:] == ["4,2,5", "after"]
+
+    @pytest.mark.parametrize("argv", [["dof", "--dim", "4"], ["wd-check"]], ids=["dataset", "checks"])
+    def test_stdout_without_a_buffer_is_an_io_error(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue() == "photonclock: i/o error: stdout has no binary buffer to write to\n"
 
     def test_missing_directory_is_an_io_error(self, capsys):
         rc, _, err = run_to_text(

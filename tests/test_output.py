@@ -154,16 +154,27 @@ def assert_writes_like_the_oracle(columns, fmt):
     columns = [np.asarray(column) for column in columns]
     fieldnames = [f"c{index}" for index in range(len(columns))]
     meta = [("rows", len(columns[0]))]
-    handle = io.StringIO()
+    handle = io.BytesIO()
     cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
     rows = zip(*(column.tolist() for column in columns))
-    assert handle.getvalue() == _render_dataset("test", meta, fieldnames, rows, fmt)
+    assert handle.getvalue().decode("utf-8") == _render_dataset("test", meta, fieldnames, rows, fmt)
 
 
 def distinct_values(column):
     """The values a one-column block of the whole column formats, or None when it formats every row."""
-    repeats = cli._repeats(np.asarray(column))
-    return None if repeats is None else repeats[0]
+    column = np.asarray(column)
+    groups = cli._row_groups([column])
+    return None if groups is None else column[groups[0]]
+
+
+def assert_groups_rebuild(columns):
+    """Each column is its group values gathered back through the inverse, bit for bit; returns the groups."""
+    groups = cli._row_groups(columns)
+    if groups is not None:
+        first, inverse = groups
+        for column in columns:
+            assert column[first][inverse].tobytes() == column.tobytes()
+    return groups
 
 
 FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -198,6 +209,44 @@ def test_repeats_across_block_edges(monkeypatch, fmt):
     # blocks [a a b b] [b c d e] [e e]: deduplicated, formatted per value, then deduplicated again
     column = np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
     assert_writes_like_the_oracle([column, column[::-1].copy(), column > 0.25], fmt)
+
+
+@FORMATS
+def test_a_tie_in_the_first_column_that_splits_in_another(fmt):
+    # rows (0.5, 0.1) and (0.5, 0.2) tie on the sorted column. However the sort orders the tie,
+    # at most 4 + 1 of the 12 rows start a group: the block is deduplicated, and each row keeps its cells
+    first = np.array([0.5] * 4 + [0.25] * 8)
+    second = np.array([0.1, 0.2, 0.1, 0.2] + [0.3] * 8)
+    columns = [first, second, first + second]
+    assert 3 <= len(assert_groups_rebuild(columns)[0]) <= 5
+    assert_writes_like_the_oracle(columns, fmt)
+
+
+@FORMATS
+def test_signed_zeros_and_nan_payloads_repeat_only_as_whole_rows(fmt):
+    # each column holds ±0.0 or NaNs that differ only in payload or sign; only whole rows repeat
+    nan = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64)
+    distinct_rows = np.array([
+        [0.0, nan[0], -0.0],
+        [-0.0, nan[1], 0.0],
+        [0.0, nan[1], 0.0],
+        [nan[0], -0.0, nan[2]],
+        [nan[2], 0.0, nan[1]],
+    ])
+    rows = distinct_rows[np.random.default_rng(3).permutation(np.repeat(np.arange(5), 3))]
+    columns = [rows[:, index].copy() for index in range(3)]
+    assert len(assert_groups_rebuild(columns)[0]) == 5
+    assert_writes_like_the_oracle(columns, fmt)
+
+
+def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size():
+    # the README-size op writes its three conditional columns through the row groups, not cell by cell
+    grid_n = 41
+    grid = np.linspace(0.0, 1.0, grid_n)
+    i, j = cli._divmod(np.arange(grid_n**2), grid_n)
+    p_st, p_td = cli._conditional_columns(grid[i], grid[j], cli.RunConfig(grid_n=grid_n))
+    groups = assert_groups_rebuild([p_st, p_td, p_st - p_td])
+    assert groups is not None and 2 * len(groups[0]) <= grid_n**2
 
 
 @FORMATS
@@ -395,6 +444,61 @@ def test_a_symlinked_out_writes_through_the_link(capsys, tmp_path):
     assert main(["dof", "--dim", "4", "--out", str(link)]) == 0
     assert link.is_symlink()
     assert target.read_text().endswith("4,2,5\n")
+
+
+def test_a_link_to_another_directory_replaces_the_file_there(capsys, tmp_path):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    target, link = there / "data.csv", here / "link.csv"
+    target.write_text("old\n")
+    old_inode = target.stat().st_ino
+    link.symlink_to(target)
+    assert main(["dof", "--dim", "4", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().endswith("4,2,5\n")
+    assert target.stat().st_ino != old_inode  # replaced by the temp file, not written in place
+    assert list(here.iterdir()) == [link]
+    assert list(there.iterdir()) == [target]
+
+
+def test_a_dangling_link_creates_the_file_it_names(capsys, tmp_path):
+    target, link = tmp_path / "missing.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["dof", "--dim", "4", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().endswith("4,2,5\n")
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_a_chain_of_two_links_writes_the_last_target(capsys, tmp_path):
+    target, middle, link = tmp_path / "data.csv", tmp_path / "middle.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    middle.symlink_to(target)
+    link.symlink_to(middle)
+    assert main(["dof", "--dim", "4", "--out", str(link)]) == 0
+    assert link.is_symlink() and middle.is_symlink()
+    assert target.read_text().endswith("4,2,5\n")
+    assert sorted(tmp_path.iterdir()) == [target, link, middle]
+
+
+def test_out_under_a_symlinked_directory(capsys, tmp_path):
+    real, alias = tmp_path / "real", tmp_path / "alias"
+    real.mkdir()
+    alias.symlink_to(real, target_is_directory=True)
+    (real / "old.csv").write_text("old\n")
+    for name in ("new.csv", "old.csv"):
+        assert main(["dof", "--dim", "4", "--out", str(alias / name)]) == 0
+        assert (real / name).read_text().endswith("4,2,5\n")
+    assert alias.is_symlink()
+    assert sorted(path.name for path in real.iterdir()) == ["new.csv", "old.csv"]
+
+
+def test_a_relative_out_is_written_in_the_working_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["dof", "--dim", "4", "--out", "data.csv"]) == 0
+    assert (tmp_path / "data.csv").read_text().endswith("4,2,5\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "data.csv"]
 
 
 def test_dev_null_is_written_in_place(capsys):
