@@ -18,13 +18,16 @@ when their rows form at most half as many groups of equal bits as there are
 rows, each group's values are formatted once and gathered the same way. Rows
 are written in blocks of BLOCK_ROWS, so memory stays bounded at every size.
 The text stays bytes from the block to the file, and stdout is written
-through sys.stdout.buffer. --out is replaced atomically once complete; a
-symlink is followed to the file it names, and that file is replaced. Every
-reported quantity is dimensionless, which makes the data independent of
---omega.
+through sys.stdout.buffer. --out is replaced atomically once complete, by a
+temp file ".{name}.{pid}.{n}" beside it, created with the mode open(path, "w")
+would give a new file; a file it replaces keeps its mode. A symlink is
+followed to the file it names, and that file is replaced. Every reported
+quantity is dimensionless, which makes the data independent of --omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
-memory included), 3 numerical integrity.
+memory included), 3 numerical integrity. A subcommand's arguments are parsed
+by its own parser alone, so an argument error prints its usage line,
+"usage: photonclock lgi-scan ...".
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,7 @@ from .conditional import (
 from .dof import Spin, massive_graviton_dof, massless_graviton_dof, spin_multiplicity
 from .dynamics import ClockSpec, global_hamiltonian, wd_residual
 from .errors import NumericalIntegrityError
+from .lgi import _SCAN_SAMPLES, _refine
 from .lgi import X_MAX as _X_MAX
 from .lgi import lgi_functional, lgi_functional_engine, lgi_maximize, violates_classical_bound
 from .measurement import SharpnessPair
@@ -70,6 +73,9 @@ X_STAR_EXPECTED = math.pi / 8.0
 # size caps keep a huge size a usage error instead of a MemoryError
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
+
+# temp names tried beside an --out target before giving up, an I/O error
+_TEMP_TRIES = 100
 
 # rows formatted and written at a time: the text of one block stays near 2 MB
 BLOCK_ROWS = 2**14
@@ -366,17 +372,37 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     handle.write(tail.encode("utf-8"))
 
 
+def _create_temp(target: str) -> tuple[int, str]:
+    """A new file ``.{name}.{pid}.{n}`` beside ``target``, opened for writing, with its path.
+
+    One exclusive create makes it, with mode 0o666 less the umask, as
+    ``open(path, "w")`` would. A name that is taken, even by a symlink, is
+    neither followed nor written: the next n is tried, up to _TEMP_TRIES.
+    """
+    directory, name = os.path.split(target)
+    prefix = os.path.join(directory, f".{name}.{os.getpid()}.")
+    for n in range(_TEMP_TRIES):
+        temp = f"{prefix}{n}"
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666), temp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temp name for {target!r}: {prefix}0 to {_TEMP_TRIES - 1} all exist")
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     """A binary handle on stdout, or on a temp file that replaces ``path`` once complete.
 
     Stdout is written through ``sys.stdout.buffer``, after the text already
     printed to ``sys.stdout`` is flushed; a ``sys.stdout`` without a buffer is
-    an OSError. A run that fails while writing leaves an existing ``path``
-    untouched and no temp file behind. The new file gets the mode
-    ``open(path, "w")`` would give it. One ``lstat`` finds the target: only a
-    symlink is resolved, to the file it finally names. A path that exists and is
-    not a regular file, such as a FIFO or /dev/null, is written directly.
+    an OSError. The temp file, ``.{name}.{pid}.{n}`` beside the target, is
+    created with the mode ``open(path, "w")`` would give a new file; a file
+    it replaces keeps its own mode. A run that fails while writing leaves an
+    existing ``path`` untouched and no temp file behind. One ``lstat`` finds
+    the target: only a symlink is resolved, to the file it finally names. A
+    path that exists and is not a regular file, such as a FIFO or /dev/null,
+    is written directly.
     """
     if not path:
         stdout = getattr(sys.stdout, "buffer", None)
@@ -397,14 +423,11 @@ def _output(path: str | None):
         with open(target, "wb") as handle:
             yield handle
         return
-    if mode is None:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+    fd, temp = _create_temp(target)
     try:
         with open(fd, "wb") as handle:
-            os.fchmod(fd, stat.S_IMODE(mode))
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             yield handle
         os.replace(temp, target)
     except BaseException:
@@ -422,9 +445,13 @@ def _write_dataset(command: str, meta_items, fieldnames, columns, config: RunCon
 
 def cmd_lgi_scan(config: RunConfig) -> int:
     xs = np.linspace(config.x_min, config.x_max, config.x_steps + 1)
-    x_star, c_star = lgi_maximize(config.x_min, config.x_max)
+    closed_xs = lgi_functional(xs)
+    if xs.size == _SCAN_SAMPLES:  # xs is the maximizer's own scan grid, so its values are too
+        x_star, c_star = _refine(xs, closed_xs)
+    else:
+        x_star, c_star = lgi_maximize(config.x_min, config.x_max)
     points = np.append(xs, x_star)
-    closed = lgi_functional(points)
+    closed = np.append(closed_xs, c_star)  # c_star is the closed form at x_star, bit for bit
     values = closed.copy()  # the sequential schedule degenerates at zero gap
     gaps = np.flatnonzero(points > 0.0)
     for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
@@ -609,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process.
 
     Parsing leaves it unchanged, and each handler looks up its cmd_* function
-    when it runs, not when the tree is built.
+    when it runs, not when the tree is built. The top parser's ``commands``
+    holds each subcommand's parser, so that main parses a subcommand's
+    arguments once, with that parser alone.
     """
     clock = _Parser(add_help=False)
     clock.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
@@ -654,13 +683,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("wd-check", parents=[clock, output],
                                 help="verify the averaged state is annihilated by the generator")
     sub.set_defaults(handler=lambda args: cmd_wd_check(_config_from(args)))
+    parser.commands = subparsers.choices  # each subcommand's parser, by name
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    When argv starts with a subcommand, only that subcommand's parser reads the
+    rest, so an argument error prints its usage line. No arguments, --help and
+    an unknown command go through the top parser.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         code = exc.code
         if code is None:

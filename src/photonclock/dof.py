@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -17,10 +18,13 @@ class Spin:
 
     @classmethod
     def from_j(cls, j: float) -> "Spin":
-        twice = round(2.0 * j)
-        if abs(2.0 * j - twice) > 1e-12 or twice < 0:
-            raise ValueError("j must be a nonnegative integer or half-integer")
-        return cls(int(twice))
+        """The spin j, within 1e-12 of a nonnegative integer or half-integer; anything
+        else, infinities and NaN included, raises ValueError."""
+        twice = 2.0 * j
+        # isfinite first: round raises OverflowError on an infinity and its own message on NaN
+        if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-12 and round(twice) >= 0):
+            raise ValueError(f"j must be a finite nonnegative integer or half-integer, not {j!r}")
+        return cls(round(twice))
 
 
 def _check_dim(dim: int) -> int:

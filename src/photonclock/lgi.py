@@ -243,10 +243,15 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     if not math.isfinite(6.0 * max(abs(x_lo), abs(x_hi))):  # cos(6x) would see inf
         raise ValueError("window must lie within |x| <= sys.float_info.max / 6, where 6x stays finite")
     grid = np.linspace(x_lo, x_hi, _SCAN_SAMPLES)
-    values = lgi_functional(grid)
+    return _refine(grid, lgi_functional(grid))
+
+
+def _refine(grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """lgi_maximize past its scan: bracket the first maximum of the closed-form values
+    on grid, then shrink the bracket by golden section below 1e-10 or to ulp(x)."""
     best = int(np.argmax(values))  # argmax takes the first, hence lowest-x, maximum
     a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, _SCAN_SAMPLES - 1)])
+    b = float(grid[min(best + 1, grid.size - 1)])
 
     h = b - a
     c = a + _INV_PHI_SQ * h

@@ -90,11 +90,17 @@ def joint_effect(pair: SharpnessPair, outcome_c: Outcome, outcome_r: Outcome) ->
 
 
 def born_probability(rho, effect) -> float:
-    """Tr[effect rho], clamped into [0, 1] only against sub-roundoff overshoot."""
+    """Tr[effect rho], clamped into [0, 1] only against sub-roundoff overshoot.
+
+    A state with a NaN or infinite entry raises ValueError.
+    """
     effect_m = np.asarray(effect, dtype=complex)
     if not validate(effect_m, "effect").ok:
         raise ValueError("not a valid effect (Hermitian with spectrum in [0, 1])")
-    raw = trace_of_product(effect_m, rho)
+    rho_m = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho_m).all():  # a NaN would pass every bound check below
+        raise ValueError("state must have finite entries")
+    raw = trace_of_product(effect_m, rho_m)
     if abs(raw.imag) > ATOL:
         raise NumericalIntegrityError(f"Born probability has imaginary part {raw.imag:.3e}")
     p = raw.real

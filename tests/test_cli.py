@@ -98,6 +98,48 @@ class TestArgumentHandling:
         assert "unrecognized arguments: --omega 7" in capsys.readouterr().err
 
 
+class TestDispatch:
+    """A subcommand's arguments are parsed once, by that subcommand's parser alone."""
+
+    def test_a_subcommand_never_reaches_the_top_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser parsed a subcommand's arguments")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+        assert main(["lgi-scan", "--x-steps", "4", "--format", "json"]) == 0
+        assert '"rows"' in capsys.readouterr().out
+        assert main(["lgi-scan", "--help"]) == 0
+        assert "usage: photonclock lgi-scan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [([], 1), (["--help"], 0), (["bogus"], 1), (["lgi-scan", "--help"], 0)])
+    def test_exit_codes_of_the_top_parser_and_help(self, capsys, argv, code):
+        assert main(argv) == code
+
+    def test_an_unrecognized_argument_prints_the_subcommand_usage(self, capsys):
+        assert main(["lgi-scan", "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "usage: photonclock lgi-scan" in err
+        assert "unrecognized arguments: --bogus" in err
+
+
+# 1024 steps scan the maximizer's own 1025-point grid, whose closed-form values the
+# scan then hands to the refinement; 1000 steps leave the maximizer to scan its own
+@settings(max_examples=40, deadline=None)
+@given(
+    window=st.tuples(st.floats(0.0, cli._X_MAX), st.floats(0.0, cli._X_MAX)).filter(lambda w: w[0] < w[1]),
+    steps=st.sampled_from([1024, 1000]),
+)
+@example(window=(0.0, math.pi), steps=1024)
+@example(window=(0.0, math.pi), steps=1000)
+def test_the_scan_reports_the_maximizer_bit_for_bit(window, steps):
+    x_min, x_max = window
+    argv = ["lgi-scan", "--x-min", repr(x_min), "--x-max", repr(x_max), "--x-steps", str(steps)]
+    rc, out, err = run_captured(argv)
+    assert rc == 0, err
+    fields = dict(part.split("=", 1) for part in out.splitlines()[0].split() if "=" in part)
+    assert (float(fields["x_star"]), float(fields["c_star"])) == cli.lgi_maximize(x_min, x_max)
+
+
 class TestLgiScan:
     def test_small_scan_layout(self, capsys):
         rc, out, _ = run_to_text(capsys, ["lgi-scan", "--x-steps", "8"])

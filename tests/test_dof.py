@@ -1,5 +1,7 @@
 """Counting physical polarizations of a spin-two field, and spin multiplicities."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +76,20 @@ class TestSpin:
             Spin(1.5)
         with pytest.raises(ValueError):
             Spin.from_j(0.3)
+
+    @pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan, -1, -0.5, -1e-3, 0.3, 1.25, 1e308])
+    def test_outside_the_domain_is_a_value_error_that_names_it(self, j):
+        with pytest.raises(ValueError, match="j must be a finite nonnegative integer or half-integer"):
+            Spin.from_j(j)
+
+    @given(st.floats())
+    def test_any_float_is_a_spin_within_1e_12_or_a_value_error(self, j):
+        try:
+            spin = Spin.from_j(j)
+        except ValueError as exc:
+            assert "finite nonnegative integer or half-integer" in str(exc)
+        else:
+            assert abs(2.0 * j - spin.twice_j) <= 1e-12
 
     def test_multiplicities(self):
         assert spin_multiplicity(Spin.from_j(0.5)) == 2

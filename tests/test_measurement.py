@@ -1,5 +1,7 @@
 """Sharp and smeared polarization measurements, Born rule, collapse."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -190,6 +192,16 @@ class TestBornProbability:
         rho = -0.001 * projector(ket("H"))
         with pytest.raises(NumericalIntegrityError):
             born_probability(rho, projector(ket("H")))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_state_is_a_value_error(self, entry):
+        corrupted = np.eye(2, dtype=complex) / 2
+        corrupted[1, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (np.full((2, 2), entry), corrupted):
+                with pytest.raises(ValueError, match="state must have finite entries"):
+                    born_probability(rho, np.eye(2) / 2)
 
     @given(sharpness, sharpness, st.floats(0.0, 2.0 * np.pi))
     def test_outcome_probabilities_sum_to_one(self, lc, lr, theta):

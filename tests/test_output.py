@@ -437,6 +437,55 @@ def test_new_file_mode_follows_the_umask_and_a_replaced_file_keeps_its_mode(caps
     assert old.read_bytes() == new.read_bytes()
 
 
+def test_new_file_mode_comes_from_the_kernel_not_from_reading_the_umask(capsys, tmp_path, monkeypatch):
+    # reading the umask sets it to 0 for a moment, which another thread's new file would get
+    def forbidden(mask):
+        raise AssertionError("os.umask called")
+
+    new = tmp_path / "new.csv"
+    umask = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "umask", forbidden)
+            assert main(["dof", "--dim", "4", "--out", str(new)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("squatter", ["file", "symlink"])
+def test_a_taken_temp_name_is_neither_clobbered_nor_followed(capsys, tmp_path, existing, squatter):
+    target = tmp_path / "data.csv"
+    if existing:
+        target.write_text("old\n")
+    taken, victim = tmp_path / f".data.csv.{os.getpid()}.0", tmp_path / "victim"
+    victim.write_text("victim\n")
+    if squatter == "file":
+        taken.write_text("taken\n")
+    else:
+        taken.symlink_to(victim)
+    assert main(["dof", "--dim", "4", "--out", str(target)]) == 0
+    assert target.read_text().endswith("4,2,5\n")
+    assert victim.read_text() == "victim\n"
+    if squatter == "file":
+        assert taken.read_text() == "taken\n"
+    else:
+        assert taken.is_symlink() and taken.resolve() == victim
+    assert sorted(tmp_path.iterdir()) == sorted([target, taken, victim])
+
+
+def test_no_free_temp_name_is_an_io_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_TEMP_TRIES", 2)
+    target = tmp_path / "data.csv"
+    taken = [tmp_path / f".data.csv.{os.getpid()}.{n}" for n in range(2)]
+    for path in taken:
+        path.write_text("taken\n")
+    assert main(["dof", "--dim", "4", "--out", str(target)]) == 2
+    assert "no free temp name" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == taken
+
+
 def test_a_symlinked_out_writes_through_the_link(capsys, tmp_path):
     target, link = tmp_path / "data.csv", tmp_path / "link.csv"
     target.write_text("old\n")
