@@ -3,31 +3,16 @@
 Subcommands: lgi-scan, cond-surface, cond-slice, report, dof, wd-check.
 Datasets are written as CSV (one '#' metadata line, a header line, then
 rows) or JSON ({"meta": ..., "rows": [...]}), with '\n' endings, so
-identical configurations produce byte-identical files. Both formats lay out
-each block of rows in one byte matrix, from a repeated row template; they
-differ only in the text around the cells and in the float cells. CSV floats
-are the exact "%.17g" text, rendered for a whole block at once by numpy array
-passes; a cell those passes cannot vouch for is written by "%.17g" itself.
-JSON floats are Python's repr text in the same matrix, as json.dumps writes
-them. Bools and ints are the same text in both. A float column is a 1-d
-array, or a factored pair (values, index) that stands for values[index]:
-cond-surface passes its two sharpness axes so, and the writer formats each
-grid value once per block and gathers the cells by the index, never sorting
-those columns. The other float columns of a block are sorted once together:
-when their rows form at most half as many groups of equal bits as there are
-rows, each group's values are formatted once and gathered the same way. Rows
-are written in blocks of BLOCK_ROWS, so memory stays bounded at every size.
-The text stays bytes from the block to the file, and stdout is written
-through sys.stdout.buffer. --out is replaced atomically once complete, by a
-temp file ".{name}.{pid}.{n}" beside it, created with the mode open(path, "w")
-would give a new file; a file it replaces keeps its mode. A symlink is
-followed to the file it names, and that file is replaced. Every reported
-quantity is dimensionless, which makes the data independent of --omega.
+identical configurations produce byte-identical files. One block writer,
+_write_rows, lays out both, BLOCK_ROWS rows at a time, and every cell is the
+same text in both: a float is its exact "%.17g" text (_float_cells). So JSON
+has 2 and -0 for 2.0 and -0.0, and refuses inf and NaN, which it has no text
+for, as a numerical integrity error. --out is replaced atomically once
+complete (_output). Every reported quantity is dimensionless, which makes
+the data independent of --omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
-memory included), 3 numerical integrity. A subcommand's arguments are parsed
-by its own parser alone, so an argument error prints its usage line,
-"usage: photonclock lgi-scan ...".
+memory included), 3 numerical integrity.
 """
 
 from __future__ import annotations
@@ -274,31 +259,20 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _row_count(column) -> int:
-    """The rows of a column: a 1-d array, or a factored float column ``(values, index)``."""
+    """The rows of a column: a 1-d array, or a factored float column ``(values, index)`` for values[index]."""
     return len(column[1]) if isinstance(column, tuple) else len(column)
 
 
-def _json_float_cells(values: np.ndarray) -> np.ndarray:
-    """The json.dumps text of each float, as the NUL-padded rows of an (n, 24) uint8 matrix.
-
-    That text is repr, which is never longer than 24 characters. A block that
-    holds a non-finite value is written by json.dumps itself, which spells
-    those Infinity, -Infinity and NaN.
-    """
-    text = map(repr if np.isfinite(values).all() else json.dumps, values.tolist())
-    return np.fromiter(text, f"S{_CELL}", values.size).view(np.uint8).reshape(-1, _CELL)
-
-
-def _text_block(columns, pieces, float_cells) -> bytearray:
+def _text_block(columns, pieces) -> bytearray:
     """One block of rows as ASCII bytes, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
 
     The rows are laid out from one repeated row template in a NUL-padded byte
     matrix, whose NULs are then dropped. The floats of all float columns go
-    through one float_cells call, which gives each its text in a 24-byte cell.
+    through one _float_cells call, which gives each its text in a 24-byte cell.
     A factored column sends its values. When the plain float columns form at
     most half as many row groups as rows (_row_groups), each sends one value a
     group. Either way the rows gather their cells through the index, and each
-    cell is written as one item. Bools and ints are the same text in every format.
+    cell is written as one item.
     """
     rows = _row_count(columns[0])
     widths = [
@@ -329,7 +303,7 @@ def _text_block(columns, pieces, float_cells) -> bytearray:
         floats.append(values if groups is None else values.take(groups[0]))
         slots.append((cells, None if groups is None else groups[1]))
     if floats:
-        parts = np.split(float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
+        parts = np.split(_float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
         for (cells, index), part in zip(slots, parts):
             part = part.view(f"V{_CELL}")[:, 0]  # one 24-byte item a cell
             cells.view(f"V{_CELL}")[:, 0] = part if index is None else part.take(index)
@@ -346,26 +320,28 @@ def _blocks(columns):
 def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
     """Write a dataset, BLOCK_ROWS rows at a time.
 
-    The text is byte-identical to a CSV with one line per row and "%.17g"
-    floats, or to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"``.
-    The formats differ only in the text around the cells, their float cells,
-    and the text before and after the rows.
+    The text is byte-identical to a CSV with one line per row and "%.17g" floats, or
+    to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"`` with the rows' floats
+    in that text; JSON refuses inf and NaN, at their first column and row, before writing.
     """
     if fmt == "json":
+        for name, column in zip(fieldnames, columns):
+            values = column[0][column[1]] if isinstance(column, tuple) else column
+            if not np.isfinite(values).all():
+                row = int(np.argmin(np.isfinite(values)))
+                raise NumericalIntegrityError(f"column {name!r}, row {row}: {float(values[row])!r} has no JSON text")
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         head = meta[: -len("\n}")] + ',\n  "rows": ['
         tail = "\n  ]\n}\n" if _row_count(columns[0]) else "]\n}\n"  # json.dumps writes no rows as []
         names = [json.dumps(name) for name in fieldnames]
         pieces = [f",\n    {{\n      {names[0]}: ", *(f",\n      {name}: " for name in names[1:]), "\n    }"]
-        float_cells = _json_float_cells
     else:
         head, tail = f"# {_meta_string(command, meta_items)}\n{','.join(fieldnames)}", "\n"
         pieces = ["\n", *[","] * (len(fieldnames) - 1), ""]
-        float_cells = _float_cells
     pieces = [piece.encode("ascii") for piece in pieces]
     handle.write(head.encode("utf-8"))
     for index, block in enumerate(_blocks(columns)):
-        text = _text_block(block, pieces, float_cells)
+        text = _text_block(block, pieces)
         if index == 0 and fmt == "json":
             text = memoryview(text)[1:]  # no comma before the first row
         handle.write(text)
@@ -396,13 +372,12 @@ def _output(path: str | None):
 
     Stdout is written through ``sys.stdout.buffer``, after the text already
     printed to ``sys.stdout`` is flushed; a ``sys.stdout`` without a buffer is
-    an OSError. The temp file, ``.{name}.{pid}.{n}`` beside the target, is
-    created with the mode ``open(path, "w")`` would give a new file; a file
-    it replaces keeps its own mode. A run that fails while writing leaves an
-    existing ``path`` untouched and no temp file behind. One ``lstat`` finds
-    the target: only a symlink is resolved, to the file it finally names. A
-    path that exists and is not a regular file, such as a FIFO or /dev/null,
-    is written directly.
+    an OSError. The temp file comes from _create_temp; a file it replaces
+    keeps its own mode. A run that fails while writing leaves an existing
+    ``path`` untouched and no temp file behind. One ``lstat`` finds the
+    target: only a symlink is resolved, to the file it finally names. A path
+    that exists and is not a regular file, such as a FIFO or /dev/null, is
+    written directly.
     """
     if not path:
         stdout = getattr(sys.stdout, "buffer", None)

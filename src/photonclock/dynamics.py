@@ -101,12 +101,22 @@ def propagator(h, t: float) -> np.ndarray:
 
 
 def wd_residual(h, psi) -> float:
-    """Euclidean norm of h @ psi; zero iff psi is a static (zero-energy) state."""
+    """Euclidean norm of h @ psi; zero iff psi is a static (zero-energy) state. Domain: finite
+    entries and a residual <= sys.float_info.max; anything else raises ValueError. h and psi
+    are scaled by exact powers of two before the product, so that no step overflows."""
     hm = np.asarray(h, dtype=complex)
     vec = np.asarray(psi, dtype=complex)
     if hm.ndim != 2 or vec.ndim != 1 or hm.shape[1] != vec.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
-    return float(np.linalg.norm(hm @ vec))
+    if not (np.isfinite(hm).all() and np.isfinite(vec).all()):
+        raise ValueError("operator and state must have finite entries")
+    # 2**e <= the largest real or imaginary part < 2**(e + 1); e >= -1022 keeps 2**-e finite
+    exps = [max(math.frexp(np.max(np.abs([m.real, m.imag]), initial=0.0))[1] - 1, -1022) for m in (hm, vec)]
+    scaled = np.linalg.norm((hm * math.ldexp(1.0, -exps[0])) @ (vec * math.ldexp(1.0, -exps[1])))
+    try:
+        return math.ldexp(float(scaled), sum(exps))
+    except OverflowError:
+        raise ValueError("the residual passed the largest double, sys.float_info.max") from None
 
 
 def product_state_phase(phase) -> np.ndarray:

@@ -166,9 +166,15 @@ def lgi_value(
 
 
 def lgi_functional(x) -> float | np.ndarray:
-    """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination."""
+    """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination, for a scalar or an array.
+
+    Domain: |x| <= sys.float_info.max / 6, where 6x stays finite; anything else raises ValueError."""
     xv = np.asarray(x, dtype=float)
-    value = 3.0 * np.cos(2.0 * xv) - np.cos(6.0 * xv)
+    with np.errstate(over="ignore"):  # an overflowing 6x raises the ValueError alone
+        six_x = 6.0 * xv
+    if not np.isfinite(six_x).all():
+        raise ValueError("x must lie within |x| <= sys.float_info.max / 6, where 6x stays finite")
+    value = 3.0 * np.cos(2.0 * xv) - np.cos(six_x)
     return float(value) if np.isscalar(x) or xv.ndim == 0 else value
 
 
@@ -217,8 +223,8 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
 
 
 def _closed_form(x: float) -> float:
-    """lgi_functional on a Python float through math.cos, for the maximizer's refinement, whose
-    window check keeps 6x finite; a test pins it to lgi_functional's array path bit for bit."""
+    """lgi_functional on a Python float through math.cos, for the maximizer's refinement inside
+    lgi_functional's domain; a test pins it to lgi_functional's array path bit for bit."""
     return 3.0 * math.cos(2.0 * x) - math.cos(6.0 * x)
 
 
@@ -234,14 +240,12 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     peak, then golden-section refinement shrinks the bracket below 1e-10 or to ulp(x).
     Returns (x_star, value at x_star). Deterministic by construction.
 
-    Domain: finite x_lo < x_hi with both |x_lo| and |x_hi| at most
-    sys.float_info.max / 6, past which cos(6x) overflows; anything else
-    raises ValueError.
+    Domain: x_lo < x_hi in lgi_functional's domain, |x| <= sys.float_info.max / 6;
+    anything else raises ValueError.
     """
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
+    if not x_lo < x_hi:  # a NaN fails too
         raise ValueError("need x_lo < x_hi")
-    if not math.isfinite(6.0 * max(abs(x_lo), abs(x_hi))):  # cos(6x) would see inf
-        raise ValueError("window must lie within |x| <= sys.float_info.max / 6, where 6x stays finite")
+    lgi_functional(np.array([x_lo, x_hi]))  # raises outside its domain, where linspace would overflow too
     grid = np.linspace(x_lo, x_hi, _SCAN_SAMPLES)
     return _refine(grid, lgi_functional(grid))
 

@@ -115,15 +115,24 @@ def luders_collapse(state, proj) -> tuple[np.ndarray, float]:
     Only genuine projectors are accepted here. Unsharp effects do not get a
     collapse rule in this package; sequential statistics always use sharp
     readout.
+
+    Domain: finite entries, a projector Hermitian and idempotent to ATOL, and
+    |proj @ state|^2 <= sys.float_info.max; anything else raises ValueError.
     """
     pm = np.asarray(proj, dtype=complex)
     vec = np.asarray(state, dtype=complex)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1] or pm.shape[1] != vec.shape[0]:
         raise ValueError("projector and state dimensions do not match")
-    if float(np.max(np.abs(pm - pm.conj().T))) > ATOL or float(np.max(np.abs(pm @ pm - pm))) > ATOL:
-        raise ValueError("collapse requires an idempotent Hermitian projector")
-    projected = pm @ vec
-    p = float(np.real(np.vdot(projected, projected)))
+    for name, m in (("state", vec), ("projector", pm)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must have finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the checks below
+        if not (np.max(np.abs(pm - pm.conj().T)) <= ATOL and np.max(np.abs(pm @ pm - pm)) <= ATOL):
+            raise ValueError("collapse requires an idempotent Hermitian projector")
+        projected = pm @ vec
+        p = float(np.real(np.vdot(projected, projected)))
+    if not math.isfinite(p):
+        raise ValueError("|proj @ state|^2 passed the largest double, sys.float_info.max")
     if p < NULL_PROBABILITY:
         raise NullCollapseError(f"outcome probability {p:.3e} is null; branch before collapsing")
     return projected / math.sqrt(p), p

@@ -1,10 +1,11 @@
 """Generators and propagators for the rotating-polarization pair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonclock import (
@@ -160,6 +161,37 @@ class TestIntertwinedConstraint:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wd_residual(global_hamiltonian(ClockSpec(1.0)), ket("H"))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_operator_or_state_is_a_value_error(self, entry):
+        # a NaN state used to give a nan residual
+        h, state = global_hamiltonian(ClockSpec(1.0)), SINGLET.copy()
+        state[1] = entry
+        bad_h = h.copy()
+        bad_h[0, 1] = entry
+        for operator, psi in ((h, state), (bad_h, SINGLET)):
+            with pytest.raises(ValueError, match="finite entries"):
+                wd_residual(operator, psi)
+
+    @given(st.floats(-300.0, 308.25))
+    @example(200.0)
+    @example(300.0)
+    @example(308.25)
+    def test_residual_over_log_uniform_frequencies(self, decade):
+        # ClockSpec(1e200) and ClockSpec(1e300) used to overflow in the norm, with a RuntimeWarning;
+        # past omega = sys.float_info.max / sqrt(2), about 10**308.1, the residual of |HV> is no double
+        omega = 10.0**decade
+        h = global_hamiltonian(ClockSpec(omega))
+        expected = omega * math.sqrt(2.0)  # h|HV> = i omega |HH> - i omega |VV>
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for psi in (SINGLET, EVEN_PAIR):
+                assert wd_residual(h, psi) <= omega * 1e-11
+            if math.isinf(expected):
+                with pytest.raises(ValueError, match=r"sys\.float_info\.max"):
+                    wd_residual(h, ket("HV"))
+            else:
+                assert wd_residual(h, ket("HV")) == pytest.approx(expected, rel=1e-15)
 
     @given(
         st.floats(-3.0, 3.0),

@@ -532,6 +532,27 @@ class TestMaximizer:
         with pytest.raises(ValueError, match="float_info.max / 6"):
             lgi_maximize(*window)
 
+    def test_closed_form_where_6x_overflows_rejected(self):
+        # 1e308 used to return nan with an overflow RuntimeWarning alone
+        for x in (1e308, np.array([0.5, 1.0, -1e308, 2.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 6"):
+                    lgi_functional(x)
+
+    @given(st.one_of(st.floats(), st.lists(st.floats(), min_size=1, max_size=8)))
+    @example(sys.float_info.max / 6.0)
+    @example(-sys.float_info.max)
+    def test_closed_form_over_every_double(self, x):
+        inside = all(math.isfinite(6.0 * value) for value in np.atleast_1d(x).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not inside:
+                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 6"):
+                    lgi_functional(x)
+                return
+            assert np.all(np.abs(lgi_functional(x)) <= 4.0)
+
     def test_widest_accepted_window_stays_finite(self):
         top = sys.float_info.max / 6.0
         while not math.isfinite(6.0 * top):  # the quotient may round up past the last finite 6x

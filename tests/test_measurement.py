@@ -1,10 +1,12 @@
 """Sharp and smeared polarization measurements, Born rule, collapse."""
 
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from photonclock import (
@@ -202,6 +204,10 @@ class TestBornProbability:
             for rho in (np.full((2, 2), entry), corrupted):
                 with pytest.raises(ValueError, match="state must have finite entries"):
                     born_probability(rho, np.eye(2) / 2)
+            # luders_collapse used to leak a RuntimeWarning on an infinite state and accept a NaN projector
+            for name, state, proj in (("state", corrupted[1], projector(ket("V"))), ("projector", ket("H"), corrupted)):
+                with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+                    luders_collapse(state, proj)
 
     @given(sharpness, sharpness, st.floats(0.0, 2.0 * np.pi))
     def test_outcome_probabilities_sum_to_one(self, lc, lr, theta):
@@ -247,6 +253,26 @@ class TestLudersCollapse:
         f_plus, _ = unsharp_effects(0.5)
         with pytest.raises(ValueError):
             luders_collapse(ket("H"), f_plus)
+
+    @given(
+        st.lists(st.complex_numbers(), min_size=2, max_size=2),
+        st.one_of(st.sampled_from([projector(ket("H")), np.eye(2)]), st.lists(st.floats(), min_size=4, max_size=4)),
+    )
+    @example([1e200, 0.0], np.eye(2))  # |state|^2 overflows
+    @example([1.0, 0.0], [1.0, 0.0, 0.0, float("nan")])
+    def test_every_double_collapses_or_names_its_bound(self, state, proj):
+        proj = np.reshape(proj, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                post, p = luders_collapse(state, proj)
+            except NullCollapseError:
+                return
+            except ValueError as exc:
+                assert re.search(r"finite entries|idempotent Hermitian projector|sys\.float_info\.max", str(exc))
+                return
+        assert np.isfinite(post).all() and math.isfinite(p)
+        assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(0.05, np.pi / 2 - 0.05))
     def test_collapse_is_idempotent(self, theta):

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import re
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -17,16 +19,26 @@ from hypothesis import strategies as st
 import photonclock
 import photonclock.cli as cli
 from photonclock.cli import _fmt, _meta_object, _meta_string, _native, main
+from photonclock.errors import NumericalIntegrityError
+
+
+def _json_cell(value):
+    """A row value for json.dumps: a float becomes its "%.17g" text behind a NUL, which json.dumps
+    escapes as \\u0000 and which no other string in a dataset holds."""
+    return "\0" + _fmt(value) if isinstance(value, float) else _native(value)
 
 
 def _render_dataset(command: str, meta_items, fieldnames, rows, fmt: str) -> str:
-    """The row-by-row renderer the block writer replaced: the oracle for every dataset's text."""
+    """The row-by-row renderer the block writer replaced: the oracle for every dataset's text.
+
+    JSON is json.dumps's layout with each float of the rows in the CSV's "%.17g" text.
+    """
     if fmt == "json":
         obj = {
             "meta": _meta_object(command, meta_items),
-            "rows": [dict(zip(fieldnames, map(_native, row))) for row in rows],
+            "rows": [dict(zip(fieldnames, map(_json_cell, row))) for row in rows],
         }
-        return json.dumps(obj, indent=2) + "\n"
+        return re.sub(r'"\\u0000([^"]*)"', r"\1", json.dumps(obj, indent=2) + "\n")
     lines = [f"# {_meta_string(command, meta_items)}", ",".join(fieldnames)]
     lines.extend(",".join(_fmt(value) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -81,6 +93,42 @@ README_RUNS = [
 @pytest.mark.parametrize("argv", README_RUNS, ids=[argv[0] for argv in README_RUNS])
 def test_readme_sizes_match_the_oracle(capsys, tmp_path, oracle, argv, fmt):
     assert_matches_oracle(capsys, oracle, argv + ["--format", fmt], tmp_path / "data")
+
+
+def _cell_bits(value):
+    """A bool as itself, any other number as the 8 bytes of its double, so that -0.0 is not 0.0."""
+    return value if isinstance(value, bool) else struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=[argv[0] for argv in README_RUNS])
+def test_json_rows_are_the_csv_doubles(capsys, argv):
+    # ints and integral floats both read back as floats; a CSV cell reads back through float()
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    bools = {"true": True, "false": False}
+    csv_rows = [[_cell_bits(bools[cell] if cell in bools else float(cell)) for cell in line.split(",")]
+                for line in lines]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_int=float)["rows"]
+    assert [[_cell_bits(value) for value in row.values()] for row in rows] == csv_rows
+
+
+def test_a_non_finite_json_cell_exits_three(capsys, tmp_path, monkeypatch):
+    # no command's columns hold inf or NaN after their cross-checks; dof has none to pass
+    monkeypatch.setattr(cli, "massive_graviton_dof", lambda dim: math.inf)
+    assert main(["dof", "--dim", "4"]) == 0
+    assert capsys.readouterr().out.endswith("4,2,inf\n")
+    target = tmp_path / "dof.json"
+    assert main(["dof", "--dim", "4", "--format", "json", "--out", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "photonclock: numerical integrity: column 'massive_dof', row 0: inf has no JSON text\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_factored_column_is_refused_at_the_first_row_that_gathers_a_nan():
+    columns = [(np.array([0.0, np.nan, 1.0]), np.array([0, 2, 2, 1, 1])), np.zeros(5)]
+    with pytest.raises(NumericalIntegrityError, match=r"^column 'c', row 3: nan has no JSON text$"):
+        cli._write_rows(io.BytesIO(), "test", [], ["c", "d"], columns, "json")
 
 
 BLOCK_RUNS = [
@@ -151,13 +199,29 @@ def test_small_runs_match_the_oracle(tmp_path_factory, command, fmt, grid_n, x_s
 
 # the writer on columns no command produces: repeats, signed zeros, extremes, ints, long bool runs
 def assert_writes_like_the_oracle(columns, fmt):
+    """The writer's text is the oracle's; in JSON, the floats read back bit for bit, and inf or NaN
+    is refused at its first row in the first column that holds one, before any text is written."""
     columns = [np.asarray(column) for column in columns]
     fieldnames = [f"c{index}" for index in range(len(columns))]
     meta = [("rows", len(columns[0]))]
     handle = io.BytesIO()
+    non_finite = [(name, int(np.argmin(np.isfinite(column)))) for name, column in zip(fieldnames, columns)
+                  if not np.isfinite(column).all()]
+    if fmt == "json" and non_finite:
+        name, row = non_finite[0]
+        with pytest.raises(NumericalIntegrityError, match=rf"^column '{name}', row {row}: .* has no JSON text$"):
+            cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
+        assert handle.getvalue() == b""
+        return
     cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
     rows = zip(*(column.tolist() for column in columns))
-    assert handle.getvalue().decode("utf-8") == _render_dataset("test", meta, fieldnames, rows, fmt)
+    text = handle.getvalue().decode("utf-8")
+    assert text == _render_dataset("test", meta, fieldnames, rows, fmt)
+    if fmt == "json":
+        rows = json.loads(text, parse_int=float)["rows"]
+        for name, column in zip(fieldnames, columns):
+            if column.dtype.kind == "f":
+                assert np.array([row[name] for row in rows], float).tobytes() == column.tobytes()
 
 
 def distinct_values(column):
@@ -358,37 +422,6 @@ def test_formatter_does_not_trust_log10(monkeypatch):
     real = np.log10
     monkeypatch.setattr(cli.np, "log10", lambda x: real(x) + np.arange(x.size) % 3 - 1)
     assert_formats_like_printf(np.concatenate([values, -values]))
-
-
-# the JSON float formatter, cell by cell against json.dumps
-def assert_formats_like_json(values):
-    values = np.asarray(values, dtype=np.float64)
-    cells = cli._json_float_cells(values)
-    assert cells.shape == (len(values), 24)
-    expected = [json.dumps(value) for value in values.tolist()]
-    # an S24 cast cuts longer text short without an error: a cut cell has no NUL and differs from json.dumps
-    text = [bytes(cell).rstrip(b"\0").decode("ascii") for cell in cells]
-    wrong = [(value, got, want) for value, got, want in zip(values.tolist(), text, expected) if got != want]
-    assert not wrong, wrong[:10]
-
-
-@settings(max_examples=300)
-@given(values=st.lists(st.floats(), min_size=1, max_size=40))
-def test_json_formatter_on_any_floats(values):
-    assert_formats_like_json(values)
-
-
-def test_json_formatter_on_random_bit_patterns():
-    patterns = np.random.default_rng(20161018).integers(0, 2**64, size=2**16, dtype=np.uint64, endpoint=False)
-    assert_formats_like_json(patterns.view(np.float64))
-
-
-def test_json_formatter_on_the_widest_reprs():
-    widest = [-2.2250738585072014e-308, -1.7976931348623157e308, -0.00012345678901234567]
-    assert [len(repr(value)) for value in widest] == [24, 24, 23]
-    assert_formats_like_json(widest)
-    assert_formats_like_json(widest + [np.nan])  # a block with a non-finite value goes through json.dumps
-    assert cli._json_float_cells(np.array(widest))[:2].all()  # the 24-character reprs fill their cells
 
 
 def _failing_second_block(monkeypatch):
