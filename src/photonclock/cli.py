@@ -12,7 +12,7 @@ complete (_output). Every reported quantity is dimensionless, which makes
 the data independent of --omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
-memory included), 3 numerical integrity.
+memory included; a closed pipe exits quietly), 3 numerical integrity.
 """
 
 from __future__ import annotations
@@ -385,6 +385,7 @@ def _output(path: str | None):
             raise OSError("stdout has no binary buffer to write to")
         sys.stdout.flush()
         yield stdout
+        stdout.flush()  # so that a closed pipe fails here, inside the command
         return
     target = path
     try:
@@ -418,6 +419,18 @@ def _write_dataset(command: str, meta_items, fieldnames, columns, config: RunCon
 # --- dataset commands -------------------------------------------------------
 
 
+def _cross_check(quantity, values: np.ndarray, closed: np.ndarray, where) -> None:
+    """Raise NumericalIntegrityError unless every value is within CROSS_CHECK_TOL of closed, naming the worst
+    point of the whole array, a NaN first, by where(index) and quantity, or the name of its row when stacked."""
+    index = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
+    observed, expected = float(values[index]), float(closed[index])
+    if not abs(observed - expected) <= CROSS_CHECK_TOL:  # a NaN fails too
+        name = quantity if isinstance(quantity, str) else quantity[index[0]]
+        raise NumericalIntegrityError(
+            f"{name} and closed form disagree at {where(index)}: {observed!r} vs {expected!r}"
+        )
+
+
 def cmd_lgi_scan(config: RunConfig) -> int:
     xs = np.linspace(config.x_min, config.x_max, config.x_steps + 1)
     closed_xs = lgi_functional(xs)
@@ -432,12 +445,7 @@ def cmd_lgi_scan(config: RunConfig) -> int:
     for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
         block = gaps[lo : lo + BLOCK_ROWS]
         values[block] = lgi_functional_engine(points[block])
-    worst = int(np.argmax(np.abs(values - closed)))
-    if not abs(values[worst] - closed[worst]) <= CROSS_CHECK_TOL:  # a NaN fails too
-        raise NumericalIntegrityError(
-            f"engine and closed form disagree at x={float(points[worst])!r}: "
-            f"{float(values[worst])!r} vs {float(closed[worst])!r}"
-        )
+    _cross_check("engine", values, closed, lambda index: f"x={float(points[index])!r}")
     meta = [
         ("omega", config.omega),
         ("x_min", config.x_min),
@@ -461,13 +469,8 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig
     values = np.stack([conditional_probability(query, spec) for query in queries])
     product = lam_c * lam_r
     closed = np.stack([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
-    kind, point = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
-    if not abs(values[kind, point] - closed[kind, point]) <= CROSS_CHECK_TOL:  # a NaN fails too
-        raise NumericalIntegrityError(
-            f"{kinds[kind].value} conditional and closed form disagree at "
-            f"lambda_c={float(lam_c[point])!r}, lambda_r={float(lam_r[point])!r}: "
-            f"{float(values[kind, point])!r} vs {float(closed[kind, point])!r}"
-        )
+    where = lambda index: f"lambda_c={float(lam_c[index[-1]])!r}, lambda_r={float(lam_r[index[-1]])!r}"
+    _cross_check([f"{kind.value} conditional" for kind in kinds], values, closed, where)
     return values
 
 
@@ -501,77 +504,60 @@ def cmd_dof(config: RunConfig, dim: int) -> int:
 # --- summary commands -------------------------------------------------------
 
 
-def _dimensionless_wd_residual(spec: ClockSpec) -> float:
-    # residual in units of hbar*omega: evaluate the generator at unit frequency
-    return wd_residual(global_hamiltonian(ClockSpec(1.0)), stationary_state(spec))
+def _check(name: str, value, expected, tol: float | None = None) -> dict:
+    """One report line: value within tol of expected, equal to it (no tol) or at most tol (no expected).
+    Its target text and its pass flag both come from expected and tol; a NaN fails."""
+    if expected is None:
+        target, passed = f"{name} <= {tol:g}", value <= tol
+    elif tol is None:
+        target, passed = str(expected), value == expected
+    else:
+        target, passed = f"{_fmt(expected)} +- {tol:g}", abs(value - expected) <= tol
+    return {"name": name, "value": _native(value), "target": target, "pass": bool(passed)}
 
 
-def _check(name: str, value, target_text: str, passed: bool) -> dict:
-    return {"name": name, "value": _native(value), "target": target_text, "pass": bool(passed)}
+def _wd_check(spec: ClockSpec) -> dict:
+    # the residual in units of hbar*omega: the generator is evaluated at unit frequency
+    residual = wd_residual(global_hamiltonian(ClockSpec(1.0)), stationary_state(spec))
+    return _check("wd_residual", residual, None, WD_TARGET)
 
 
 def _report_checks(spec: ClockSpec) -> list[dict]:
-    checks = []
-    residual = _dimensionless_wd_residual(spec)
-    checks.append(_check("wd_residual", residual, f"wd_residual <= {WD_TARGET:g}", residual <= WD_TARGET))
-
     p_st = conditional_probability(ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP), spec)
     p_td = conditional_probability(ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.SHARP), spec)
-    checks.append(_check("P_sharp_stationary", p_st, "1 +- 1e-12", abs(p_st - 1.0) <= 1e-12))
-    checks.append(_check("P_sharp_timeavg", p_td, "0.75 +- 1e-10", abs(p_td - 0.75) <= 1e-10))
-
     x_star, c_max = lgi_maximize(0.0, math.pi / 2.0)
-    c_engine = lgi_functional_engine(x_star)
-    checks.append(
-        _check("C_max", c_max, f"{_fmt(C_MAX_EXPECTED)} +- 1e-10", abs(c_max - C_MAX_EXPECTED) <= 1e-10)
-    )
-    checks.append(
-        _check("x_star", x_star, f"{_fmt(X_STAR_EXPECTED)} +- 1e-08", abs(x_star - X_STAR_EXPECTED) <= 1e-8)
-    )
-    checks.append(
-        _check(
-            "C_max_engine",
-            c_engine,
-            f"{_fmt(C_MAX_EXPECTED)} +- 1e-10",
-            abs(c_engine - C_MAX_EXPECTED) <= 1e-10,
-        )
-    )
-
+    checks = [
+        _wd_check(spec),
+        _check("P_sharp_stationary", p_st, 1.0, 1e-12),
+        _check("P_sharp_timeavg", p_td, 0.75, 1e-10),
+        _check("C_max", c_max, C_MAX_EXPECTED, 1e-10),
+        _check("x_star", x_star, X_STAR_EXPECTED, 1e-8),
+        _check("C_max_engine", lgi_functional_engine(x_star), C_MAX_EXPECTED, 1e-10),
+    ]
     for dim, massless, massive in ((3, 0, 2), (4, 2, 5), (5, 5, 9)):
-        checks.append(
-            _check(f"dof_massless({dim})", massless_graviton_dof(dim), str(massless),
-                   massless_graviton_dof(dim) == massless)
-        )
-        checks.append(
-            _check(f"dof_massive({dim})", massive_graviton_dof(dim), str(massive),
-                   massive_graviton_dof(dim) == massive)
-        )
-
+        checks.append(_check(f"dof_massless({dim})", massless_graviton_dof(dim), massless))
+        checks.append(_check(f"dof_massive({dim})", massive_graviton_dof(dim), massive))
     for label, twice_j, expected in (("1/2", 1, 2), ("1", 2, 3), ("2", 4, 5)):
-        value = spin_multiplicity(Spin(twice_j))
-        checks.append(_check(f"multiplicity(j={label})", value, str(expected), value == expected))
+        checks.append(_check(f"multiplicity(j={label})", spin_multiplicity(Spin(twice_j)), expected))
     return checks
 
 
-def _render_checks(command: str, meta_items, checks: list[dict], fmt: str) -> str:
-    all_pass = all(check["pass"] for check in checks)
-    if fmt == "json":
-        obj = {"meta": _meta_object(command, meta_items), "checks": checks, "pass": all_pass}
-        return json.dumps(obj, indent=2) + "\n"
-    lines = [f"# {_meta_string(command, meta_items)}"]
-    for check in checks:
-        status = "PASS" if check["pass"] else "FAIL"
-        lines.append(f"{check['name']} = {_fmt(check['value'])} (target: {check['target']}) {status}")
-    failed = sum(1 for check in checks if not check["pass"])
-    verdict = "PASS" if all_pass else "FAIL"
-    lines.append(f"{command}: {verdict} ({len(checks) - failed}/{len(checks)} checks)")
-    return "\n".join(lines) + "\n"
-
-
-def _finish_checks(command: str, meta_items, checks: list[dict], config: RunConfig) -> int:
-    with _output(config.output_path) as handle:
-        handle.write(_render_checks(command, meta_items, checks, config.format).encode("utf-8"))
+def _finish_checks(command: str, checks: list[dict], config: RunConfig) -> int:
+    """Write the checks and their verdict, as text lines or JSON; 3 when any check fails."""
+    meta = [("omega", config.omega), ("panels", PANELS)]
     failing = [check["name"] for check in checks if not check["pass"]]
+    if config.format == "json":
+        text = json.dumps({"meta": _meta_object(command, meta), "checks": checks, "pass": not failing}, indent=2)
+    else:
+        lines = [f"# {_meta_string(command, meta)}"]
+        for check in checks:
+            status = "PASS" if check["pass"] else "FAIL"
+            lines.append(f"{check['name']} = {_fmt(check['value'])} (target: {check['target']}) {status}")
+        verdict = "FAIL" if failing else "PASS"
+        lines.append(f"{command}: {verdict} ({len(checks) - len(failing)}/{len(checks)} checks)")
+        text = "\n".join(lines)
+    with _output(config.output_path) as handle:
+        handle.write(f"{text}\n".encode("utf-8"))
     if failing:
         print(f"{TOOL} {command}: failed checks: {', '.join(failing)}", file=sys.stderr)
         return 3
@@ -579,17 +565,11 @@ def _finish_checks(command: str, meta_items, checks: list[dict], config: RunConf
 
 
 def cmd_report(config: RunConfig) -> int:
-    meta = [("omega", config.omega), ("panels", PANELS)]
-    return _finish_checks("report", meta, _report_checks(ClockSpec(config.omega)), config)
+    return _finish_checks("report", _report_checks(ClockSpec(config.omega)), config)
 
 
 def cmd_wd_check(config: RunConfig) -> int:
-    residual = _dimensionless_wd_residual(ClockSpec(config.omega))
-    checks = [
-        _check("wd_residual", residual, f"wd_residual <= {WD_TARGET:g}", residual <= WD_TARGET)
-    ]
-    meta = [("omega", config.omega), ("panels", PANELS)]
-    return _finish_checks("wd-check", meta, checks, config)
+    return _finish_checks("wd-check", [_wd_check(ClockSpec(config.omega))], config)
 
 
 # --- argument handling ------------------------------------------------------
@@ -684,6 +664,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader stopped early, as `head` does: no message
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:  # so the flush at exit cannot fail
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     except OSError as exc:
         print(f"{TOOL}: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,6 @@ X_MAX = 1e4
 # the largest phase omega*t the engine evaluates, at t4 = 3 dt; the domain of every time
 _MAX_PHASE = 3.0 * X_MAX
 
-# the Q eigenvalues, stacked by Outcome.index
-_Q = np.array([Outcome.H.value, Outcome.V.value], dtype=float)
-
 
 class InitialCondition(enum.IntEnum):
     """Which polarization the clock photon is prepared in at t = 0."""
@@ -142,8 +139,7 @@ def two_time_correlator(
     preparation. Domain: 0 <= t1 < t2 with omega * t2 <= 3 * X_MAX, the
     largest phase the engine evaluates; anything else raises ValueError.
     """
-    # the contraction rounds as (HH - VH) - (HV - VV), which differs from _correlator's order in the last bit
-    return float(_Q @ np.array(_pair_table(init, t1, t2, spec)) @ _Q)
+    return float(_correlator(_pair_table(init, t1, t2, spec)))
 
 
 def lgi_value(
@@ -217,8 +213,13 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
     """True when the combination exceeds 2 beyond numerical slack.
 
     Takes a float or an array of them; an array gives a boolean array,
-    element by element the same as the scalar calls.
+    element by element the same as the scalar calls. Domain: finite values;
+    a NaN or an infinity raises ValueError, which names the first one.
     """
+    finite = np.isfinite(value)
+    if not finite.all():
+        bad = float(np.ravel(value)[np.argmin(finite)])
+        raise ValueError(f"value must be finite to compare with the classical bound, got {bad!r}")
     return value > CLASSICAL_BOUND + 1e-12
 
 

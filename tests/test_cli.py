@@ -4,6 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,20 @@ def run_captured(argv):
 
 def data_lines(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+CHECK_LINE = re.compile(r"(\S+) = (\S+) \(target: (.+)\) (PASS|FAIL)")
+
+
+def passes_its_target(value: str, target: str) -> bool:
+    """A check line's verdict recomputed from its printed value and target:
+    "E +- T", "wd_residual <= T" or an exact integer "N"."""
+    if " +- " in target:
+        expected, tol = map(float, target.split(" +- "))
+        return abs(float(value) - expected) <= tol
+    if target.startswith("wd_residual <= "):
+        return float(value) <= float(target.removeprefix("wd_residual <= "))
+    return int(value) == int(target)
 
 
 class TestArgumentHandling:
@@ -328,6 +347,55 @@ class TestSummaryCommands:
         assert "dof_massive(4) = 5 (target: 5) PASS" in lines
         assert "multiplicity(j=2) = 5 (target: 5) PASS" in lines
 
+    @pytest.mark.parametrize("offset, failing", [(0.5e-10, []), (1.5e-10, ["C_max_engine"])], ids=["in", "out"])
+    def test_report_fails_the_one_check_past_its_tolerance(self, capsys, monkeypatch, offset, failing):
+        monkeypatch.setattr(cli, "lgi_functional_engine", lambda x: cli.C_MAX_EXPECTED + offset)
+        rc, out, err = run_to_text(capsys, ["report"])
+        lines = out.splitlines()
+        assert rc == (3 if failing else 0)
+        assert [line.split(" = ")[0] for line in lines if line.endswith(" FAIL")] == failing
+        assert lines[-1] == ("report: FAIL (14/15 checks)" if failing else "report: PASS (15/15 checks)")
+        assert err == ("photonclock report: failed checks: C_max_engine\n" if failing else "")
+        rc, out, _ = run_to_text(capsys, ["report", "--format", "json"])
+        obj = json.loads(out)
+        assert rc == (3 if failing else 0)
+        assert obj["pass"] is (not failing)
+        assert [check["name"] for check in obj["checks"] if not check["pass"]] == failing
+
+    @pytest.mark.parametrize("factor, failing", [(0.5, []), (1.5, ["wd_residual"])], ids=["in", "out"])
+    def test_wd_check_fails_past_its_target(self, capsys, monkeypatch, factor, failing):
+        monkeypatch.setattr(cli, "wd_residual", lambda generator, state: factor * cli.WD_TARGET)
+        rc, out, err = run_to_text(capsys, ["wd-check"])
+        lines = out.splitlines()
+        assert rc == (3 if failing else 0)
+        assert lines[1].endswith(" FAIL" if failing else " PASS")
+        assert lines[-1] == ("wd-check: FAIL (0/1 checks)" if failing else "wd-check: PASS (1/1 checks)")
+        assert err == ("photonclock wd-check: failed checks: wd_residual\n" if failing else "")
+        rc, out, _ = run_to_text(capsys, ["wd-check", "--format", "json"])
+        assert rc == (3 if failing else 0)
+        assert json.loads(out)["pass"] is (not failing)
+
+    @pytest.mark.parametrize(
+        "engine_offset, residual_factor, fails",
+        [(None, None, 0), (1.5e-10, None, 1), (-0.5e-10, 1.5, 1)],
+        ids=["as-is", "C-out", "C-in-wd-out"],
+    )
+    def test_each_verdict_follows_from_the_printed_value_and_target(
+        self, capsys, monkeypatch, engine_offset, residual_factor, fails
+    ):
+        if engine_offset is not None:
+            monkeypatch.setattr(cli, "lgi_functional_engine", lambda x: cli.C_MAX_EXPECTED + engine_offset)
+        if residual_factor is not None:
+            monkeypatch.setattr(cli, "wd_residual", lambda generator, state: residual_factor * cli.WD_TARGET)
+        _, out, _ = run_to_text(capsys, ["report"])
+        verdicts = []
+        for line in out.splitlines()[1:-1]:
+            _, value, target, verdict = CHECK_LINE.fullmatch(line).groups()
+            assert verdict == ("PASS" if passes_its_target(value, target) else "FAIL"), line
+            verdicts.append(verdict)
+        assert len(verdicts) == 15
+        assert verdicts.count("FAIL") == fails
+
     def test_report_json(self, capsys):
         rc, out, _ = run_to_text(capsys, ["report", "--format", "json"])
         assert rc == 0
@@ -374,6 +442,24 @@ class TestFilesAndDeterminism:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main(argv) == 2
         assert err.getvalue() == "photonclock: i/o error: stdout has no binary buffer to write to\n"
+
+    # pytest's capture cannot close a pipe early, so these run the command in a real process: a
+    # reader that stops after 100 bytes, as `head -c 100` does, and one that reads nothing, as `true`
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, read", [(["lgi-scan", "--x-steps", "1048576"], 100), (["report"], 0)], ids=["head", "true"]
+    )
+    def test_a_closed_pipe_exits_two_without_a_message(self, argv, read, buffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "photonclock.cli", *argv]
+        process = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        process.stdout.read(read)
+        process.stdout.close()
+        _, err = process.communicate(timeout=60)
+        assert (process.returncode, err) == (2, b"")
 
     def test_missing_directory_is_an_io_error(self, capsys):
         rc, _, err = run_to_text(

@@ -473,6 +473,24 @@ class TestViolationPredicate:
         assert flags.tolist() == [violates_classical_bound(float(v)) for v in values]
         assert flags.tolist() == [True, False, False, True, False, False]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match=f"must be finite.*got {bad!r}$"):
+            violates_classical_bound(bad)
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([2.5, math.nan, 1.0], math.nan),
+            ([[2.5, 1.0], [math.inf, math.nan]], math.inf),
+            ([1.0, 3.0, -math.inf], -math.inf),
+            (np.float64(math.nan), math.nan),
+        ],
+    )
+    def test_non_finite_array_names_its_first_bad_value(self, values, bad):
+        with pytest.raises(ValueError, match=f"must be finite.*got {bad!r}$"):
+            violates_classical_bound(np.asarray(values))
+
 
 class TestMaximizer:
     def test_peak_location_and_height(self):
