@@ -158,13 +158,9 @@ def _fmt(value) -> str:
 
 
 def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    """value as a Python scalar for json.dumps; a non-finite float as its _fmt text, as JSON has no number for it."""
+    value = np.asarray(value).item()
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _meta_string(command: str, items: list[tuple[str, object]]) -> str:

@@ -22,7 +22,7 @@ the kernel's test oracle.
 For measurements at four equally spaced times with phase gap x = omega*dt,
 the three-plus-one correlator combination
 
-    C = C12 + C23 + C34 - C14 = 3 cos(2x) - cos(6x)
+    C = C12 + C23 + C34 - C14 = 3 cos(2x) - cos(6x) = 6c - 4c^3,  c = cos(2x),
 
 exceeds the macrorealist bound 2 and reaches 2*sqrt(2) at x = pi/8.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ from .qstate import ket
 CLASSICAL_BOUND = 2.0
 
 # the engine's domain: past X_MAX its schedule times k*x/omega round at
-# ulp(3x), and its deviation from the closed form grows with x (2e-10 at 1e6)
+# ulp(3x), and its deviation from the closed form grows with x (9.3e-10 on [1e5, 1e6])
 X_MAX = 1e4
 # the largest phase omega*t the engine evaluates, at t4 = 3 dt; the domain of every time
 _MAX_PHASE = 3.0 * X_MAX
@@ -164,13 +165,11 @@ def lgi_value(
 def lgi_functional(x) -> float | np.ndarray:
     """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination, for a scalar or an array.
 
-    Domain: |x| <= sys.float_info.max / 6, where 6x stays finite; anything else raises ValueError."""
+    Domain: |x| <= sys.float_info.max / 2, where 2x stays finite; anything else raises ValueError."""
     xv = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing 6x raises the ValueError alone
-        six_x = 6.0 * xv
-    if not np.isfinite(six_x).all():
-        raise ValueError("x must lie within |x| <= sys.float_info.max / 6, where 6x stays finite")
-    value = 3.0 * np.cos(2.0 * xv) - np.cos(six_x)
+    if not (np.abs(xv) <= sys.float_info.max / 2.0).all():  # a NaN fails too
+        raise ValueError("x must lie within |x| <= sys.float_info.max / 2, where 2x stays finite")
+    value = _closed_form(xv, np.cos)
     return float(value) if np.isscalar(x) or xv.ndim == 0 else value
 
 
@@ -180,8 +179,9 @@ def lgi_functional_engine(
     """The same combination evaluated by the collapse-and-evolve engine, for a scalar or an array.
 
     Domain: every gap in 0 < x <= X_MAX = 1e4, with x / omega a finite time;
-    there the engine stays within 1e-10 of the closed form (3.6e-12 at worst
-    on a dense scan of (0, 1e4]). Anything else raises ValueError.
+    there the engine stays within 1e-10 of the closed form: at most 2.3e-15 on
+    (0, pi], 7.7e-15 on [1, 10) and 7.3e-12 on [1e3, 1e4], in 200,000 x per
+    range, uniform in the first, log-uniform after. Anything else raises ValueError.
 
     The quantity is dimensionless, so by default it is evaluated on a unit
     frequency clock, which makes the result independent of any configured
@@ -223,10 +223,11 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
     return value > CLASSICAL_BOUND + 1e-12
 
 
-def _closed_form(x: float) -> float:
-    """lgi_functional on a Python float through math.cos, for the maximizer's refinement inside
-    lgi_functional's domain; a test pins it to lgi_functional's array path bit for bit."""
-    return 3.0 * math.cos(2.0 * x) - math.cos(6.0 * x)
+def _closed_form(x, cos=math.cos):
+    """3 cos(2x) - cos(6x) as 6c - 4c^3 in its least-rounding order c (6 - 4c^2), c = cos(2x) of the exact
+    2x; math.cos for the maximizer's refinement, np.cos for lgi_functional: a test pins them bit for bit."""
+    c = cos(2.0 * x)
+    return c * (6.0 - 4.0 * (c * c))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -241,7 +242,7 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
     peak, then golden-section refinement shrinks the bracket below 1e-10 or to ulp(x).
     Returns (x_star, value at x_star). Deterministic by construction.
 
-    Domain: x_lo < x_hi in lgi_functional's domain, |x| <= sys.float_info.max / 6;
+    Domain: x_lo < x_hi in lgi_functional's domain, |x| <= sys.float_info.max / 2;
     anything else raises ValueError.
     """
     if not x_lo < x_hi:  # a NaN fails too

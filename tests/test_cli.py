@@ -406,6 +406,24 @@ class TestSummaryCommands:
             assert set(check) == {"name", "value", "target", "pass"}
             assert check["pass"] is True
 
+    @pytest.mark.parametrize("bad, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_check_value_is_strict_json(self, capsys, monkeypatch, bad, text):
+        # JSON has no number for inf or NaN, so the value is the text the text report prints
+        monkeypatch.setattr(cli, "lgi_functional_engine", lambda x: bad)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rc, out, err = run_to_text(capsys, ["report", "--format", "json"])
+        assert rc == 3
+        assert err == "photonclock report: failed checks: C_max_engine\n"
+        checks = {check["name"]: check for check in json.loads(out, parse_constant=refuse)["checks"]}
+        assert checks["C_max_engine"]["value"] == text
+        assert checks["C_max_engine"]["pass"] is False
+        rc, out, _ = run_to_text(capsys, ["report"])
+        assert rc == 3
+        assert f"C_max_engine = {text} (target: " in out
+
 
 class TestFilesAndDeterminism:
     def test_file_output_matches_stdout(self, capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Sequential statistics and the four-time Leggett-Garg combination."""
 
+import decimal
 import itertools
 import math
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -38,6 +40,17 @@ UNIT = ClockSpec(1.0)
 # combination minus 2 factors as -2 (c - 1)(2 c^2 + 2 c - 1), whose root
 # inside (0, 1) is c = (sqrt(3) - 1)/2.
 X_CROSSING = math.acos((math.sqrt(3.0) - 1.0) / 2.0) / 2.0
+
+# How far the closed form c (6 - 4c^2), c = cos(2x), may round from 3 cos(2x) - cos(6x), with
+# u = 2**-53. 2x and 4c^2 = 4 fl(c c) are exact. cos returns c within 1 ulp, at most u for
+# |c| <= 1, and the cubic scales that by |6 - 12c^2| <= 6; fl(c c) is off by c^2 u, which the
+# cubic carries as 4|c|^3 u <= 4u; fl(6 - 4c^2) and the last product are each off by u of
+# the result, |6c - 4c^3| <= 2 sqrt(2). In all (6 + 4 + 4 sqrt(2)) u = 15.7 u, plus terms in
+# u^2, under 16 u: four ulps of 2 sqrt(2), whose spacing is 4 u.
+CLOSED_FORM_SLACK = 16 * 2.0**-53
+QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
+# the largest |x| whose 2x is finite, lgi_functional's and lgi_maximize's domain
+X_TOP = sys.float_info.max / 2.0
 
 first_times = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
 gaps = st.floats(min_value=1e-6, max_value=8.0, allow_nan=False)
@@ -205,7 +218,84 @@ class TestClosedFormFunctional:
 
     @given(st.floats(0.0, 2.0 * np.pi))
     def test_never_exceeds_quantum_bound(self, x):
-        assert lgi_functional(x) <= 2.0 * np.sqrt(2.0) + 1e-12
+        assert lgi_functional(x) <= QUANTUM_BOUND + CLOSED_FORM_SLACK
+
+
+def decimal_pi():
+    """pi to the current precision: the pi() recipe of the decimal module's documentation."""
+    decimal.getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def decimal_cos(x):
+    """cos(x) to the current precision by its Taylor series: the cos() recipe of the decimal
+    module's documentation, for an argument already reduced to |x| <= pi."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+# Reducing an argument y modulo 2 pi loses the digits of its quotient, up to 309 for 6x near
+# 6 * max / 2, so pi is held to 400 digits and the reduction runs at 400: the remainder is
+# then off by under 1e308 * 1e-399, and its cosine is summed at 40 digits, 24 past a double's.
+with decimal.localcontext() as _ctx:
+    _ctx.prec = 400
+    DECIMAL_TWO_PI = 2 * decimal_pi()
+
+
+def exact_combination(x: float) -> Decimal:
+    """3 cos(2x) - cos(6x) at the double x to about 40 digits, with 2x and 6x taken exactly:
+    the physics form, so the oracle also checks the triple-angle identity."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        reduced = [(k * Decimal(x)).remainder_near(DECIMAL_TWO_PI) for k in (2, 6)]
+        ctx.prec = 40
+        cos_2x, cos_6x = (decimal_cos(+r) for r in reduced)
+        return 3 * cos_2x - cos_6x
+
+
+class TestDecimalOracle:
+    def test_recipes_reproduce_known_values(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            assert float(decimal_pi()) == math.pi
+            assert str(+DECIMAL_TWO_PI)[:22] == "6.28318530717958647692"
+            assert float(decimal_cos(+DECIMAL_TWO_PI / 6)) == 0.5
+        assert exact_combination(0.0) == 2
+        assert float(exact_combination(math.pi / 8)) == QUANTUM_BOUND
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.floats(0.0, math.pi),
+        st.floats(-X_TOP, X_TOP),
+        st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    ))
+    @example(X_TOP)
+    @example(1e15 + 0.125)
+    @example(math.pi / 8)
+    @example(5e-324)
+    def test_closed_form_is_within_its_slack_of_the_exact_value(self, x):
+        assume(math.isfinite(2.0 * x))
+        exact = exact_combination(x)
+        for value in (lgi_functional(x), _closed_form(x)):
+            assert abs(Decimal(value) - exact) <= Decimal(CLOSED_FORM_SLACK), (x, value)
 
 
 class TestEngineAgreement:
@@ -519,11 +609,15 @@ class TestMaximizer:
             lgi_maximize(np.nan, 2.0)
 
     def test_returns_where_the_bracket_reaches_float_spacing(self):
-        # at 1e7 the spacing of doubles is about 1.9e-9, above the 1e-10 target;
-        # the closed form itself rounds at ulp(6x), about 7.5e-9, out here
+        # at 1e7 the spacing of doubles, ulp(x) = 2**-29, is above the 1e-10 target, so the
+        # bracket stops a few ulp(x) wide. The scan brackets an interior peak p here, near which
+        # C = 2 sqrt(2) - 12 sqrt(2) (x - p)^2 + O((x - p)^4). The closed form tells two points
+        # apart only past twice its slack, so the refinement settles where C is within 2 slacks
+        # of the top, give or take the curvature over two ulp(x); its value is off by one more
         x_star, c_star = lgi_maximize(1e7, 1e7 + 3.0)
         assert 1e7 <= x_star <= 1e7 + 3.0
-        assert abs(c_star - 2.0 * np.sqrt(2.0)) <= 1e-8
+        below = 3.0 * CLOSED_FORM_SLACK + 12.0 * math.sqrt(2.0) * (2.0 * math.ulp(x_star)) ** 2
+        assert -below <= c_star - QUANTUM_BOUND <= CLOSED_FORM_SLACK
 
     def test_deterministic(self):
         assert lgi_maximize(0.0, np.pi) == lgi_maximize(0.0, np.pi)
@@ -532,50 +626,63 @@ class TestMaximizer:
         # the golden-section loop runs on math.cos; where libm and numpy's cos disagree, x_star
         # would move silently, so any disagreement on the maximizer's domain fails here
         rng = np.random.default_rng(14)
-        top = sys.float_info.max / 6.0
         xs = np.concatenate([
             rng.uniform(-10.0, 10.0, 40_000),
             np.pi / 8 * rng.integers(-64, 64, 10_000) + rng.normal(0.0, 1e-9, 10_000),
             rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-320.0, 307.0, 40_000),
             rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
         ])
-        xs = xs[np.isfinite(xs) & (np.abs(xs) <= top)]
+        xs = xs[np.isfinite(xs) & (np.abs(xs) <= X_TOP)]
         assert xs.size >= 100_000
         scalar = np.array([_closed_form(x) for x in xs.tolist()])
         assert np.array_equal(scalar.view(np.uint64), lgi_functional(xs).view(np.uint64))
 
     @pytest.mark.parametrize("window", [(0.0, 1e308), (-1.7e308, 1.7e308)])
-    def test_window_where_cos_6x_overflows_rejected(self, window):
+    def test_window_where_cos_2x_overflows_rejected(self, window):
         # these windows used to return (3.0e307, nan) and (nan, nan) with RuntimeWarnings alone
-        with pytest.raises(ValueError, match="float_info.max / 6"):
+        with pytest.raises(ValueError, match="float_info.max / 2"):
             lgi_maximize(*window)
 
-    def test_closed_form_where_6x_overflows_rejected(self):
+    def test_closed_form_where_2x_overflows_rejected(self):
         # 1e308 used to return nan with an overflow RuntimeWarning alone
         for x in (1e308, np.array([0.5, 1.0, -1e308, 2.0])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 6"):
+                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 2"):
                     lgi_functional(x)
 
     @given(st.one_of(st.floats(), st.lists(st.floats(), min_size=1, max_size=8)))
-    @example(sys.float_info.max / 6.0)
+    @example(X_TOP)
+    @example(math.nextafter(X_TOP, math.inf))
     @example(-sys.float_info.max)
     def test_closed_form_over_every_double(self, x):
-        inside = all(math.isfinite(6.0 * value) for value in np.atleast_1d(x).tolist())
+        inside = all(math.isfinite(2.0 * value) for value in np.atleast_1d(x).tolist())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not inside:
-                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 6"):
+                with pytest.raises(ValueError, match=r"sys\.float_info\.max / 2"):
                     lgi_functional(x)
                 return
-            assert np.all(np.abs(lgi_functional(x)) <= 4.0)
+            assert np.all(np.abs(lgi_functional(x)) <= QUANTUM_BOUND + CLOSED_FORM_SLACK)
 
     def test_widest_accepted_window_stays_finite(self):
-        top = sys.float_info.max / 6.0
-        while not math.isfinite(6.0 * top):  # the quotient may round up past the last finite 6x
-            top = math.nextafter(top, 0.0)
-        x_star, c_star = lgi_maximize(-top, top)
+        assert math.isfinite(2.0 * X_TOP)  # max / 2 is exact, and so is doubling it back
+        x_star, c_star = lgi_maximize(-X_TOP, X_TOP)
         assert math.isfinite(x_star) and math.isfinite(c_star)
         with pytest.raises(ValueError):
-            lgi_maximize(0.0, math.nextafter(top, math.inf))
+            lgi_maximize(0.0, math.nextafter(X_TOP, math.inf))
+
+    @given(st.floats(-X_TOP, X_TOP), st.floats(-X_TOP, X_TOP))
+    @example(1e15, 1e15 + 1e4)
+    @example(1e12, 1e12 * (1.0 + 1e-6))
+    @example(1e16, 1e16 + 1e5)
+    @example(-X_TOP, X_TOP)
+    def test_maximum_never_exceeds_the_quantum_bound(self, x_lo, x_hi):
+        # evaluated as 3 cos(2x) - cos(6x), the maximum read 3.14 on (1e15, 1e15 + 1e4): fl(6x) and
+        # 3 fl(2x) stop agreeing modulo 2 pi out there, and the scan picked the noise
+        assume(x_lo < x_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_star, c_star = lgi_maximize(x_lo, x_hi)
+        assert x_lo <= x_star <= x_hi
+        assert c_star <= QUANTUM_BOUND + CLOSED_FORM_SLACK
