@@ -58,6 +58,8 @@ X_STAR_EXPECTED = math.pi / 8.0
 # size caps keep a huge size a usage error instead of a MemoryError
 _MAX_X_STEPS = 2**20
 _MAX_GRID_N = 1024
+# the largest --dim whose massive count D(D - 1)/2 - 1 fits the writer's widest integer cells, 2**64 - 1
+_MAX_DIM = (1 + math.isqrt(1 + 2**67)) // 2  # 6074001000
 
 # temp names tried beside an --out target before giving up, an I/O error
 _TEMP_TRIES = 100
@@ -179,13 +181,25 @@ def _row_groups(columns):
     """``(first, inverse)`` with ``column[first][inverse]`` equal to each of the block's plain
     columns, when at most half of the rows start a group; otherwise None.
 
-    One argsort on the bits of the first column orders the rows, and a group
-    starts wherever the bits of any column change, so the rows of a group share
-    their bits in every column and -0.0 stays apart from 0.0. A tie in the first
-    column that splits in another column just splits the group: a value may then
-    be formatted twice, but never wrongly.
+    A first column that strictly increases, as lgi-scan's x does, starts a
+    group at every row, so it gives None without a sort. Any other block goes
+    to _sorted_row_groups: -0.0 beside 0.0 and a NaN compare as no increase.
     """
-    order = np.argsort(columns[0].view(f"u{columns[0].itemsize}"))
+    first = columns[0]
+    if first.size and (first[1:] > first[:-1]).all():
+        return None
+    return _sorted_row_groups(columns)
+
+
+def _sorted_row_groups(columns):
+    """_row_groups by one argsort on the bits of the first column, which orders the rows.
+
+    A group starts wherever the bits of any column change, so the rows of a
+    group share their bits in every column and -0.0 stays apart from 0.0. A tie
+    in the first column that splits in another column just splits the group: a
+    value may then be formatted twice, but never wrongly.
+    """
+    order = columns[0].view(f"u{columns[0].itemsize}").argsort()
     starts = np.zeros(order.size, bool)
     starts[:1] = True
     for column in columns:
@@ -194,7 +208,7 @@ def _row_groups(columns):
         if 2 * np.count_nonzero(starts) > starts.size:  # a further column only adds starts
             return None
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order] = starts.cumsum() - 1
     return order[starts], inverse
 
 
@@ -214,7 +228,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     magnitude = np.abs(values)
     fixed = (magnitude >= 1e-4) & (magnitude < 1e17)
     magnitude = np.where(fixed, magnitude, 1.0)
-    k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
+    k = np.minimum(np.maximum(np.floor(np.log10(magnitude)), -4.0), 16.0).astype(np.intp)
     power = 16 - k
     scale, scale_hi, scale_lo = _SCALE.take(power), _SCALE_HI.take(power), _SCALE_LO.take(power)
     product = magnitude * scale
@@ -299,9 +313,11 @@ def _text_block(columns, pieces) -> bytearray:
         floats.append(values if groups is None else values.take(groups[0]))
         slots.append((cells, None if groups is None else groups[1]))
     if floats:
-        parts = np.split(_float_cells(np.concatenate(floats)), np.cumsum([part.size for part in floats[:-1]]))
-        for (cells, index), part in zip(slots, parts):
-            part = part.view(f"V{_CELL}")[:, 0]  # one 24-byte item a cell
+        formatted = _float_cells(np.concatenate(floats)).view(f"V{_CELL}")[:, 0]  # one 24-byte item a cell
+        lo = 0
+        for (cells, index), values in zip(slots, floats):
+            part = formatted[lo : lo + values.size]
+            lo += values.size
             cells.view(f"V{_CELL}")[:, 0] = part if index is None else part.take(index)
     return text.translate(None, b"\0")
 
@@ -324,7 +340,7 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
         for name, column in zip(fieldnames, columns):
             values = column[0][column[1]] if isinstance(column, tuple) else column
             if not np.isfinite(values).all():
-                row = int(np.argmin(np.isfinite(values)))
+                row = int(np.isfinite(values).argmin())
                 raise NumericalIntegrityError(f"column {name!r}, row {row}: {float(values[row])!r} has no JSON text")
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         head = meta[: -len("\n}")] + ',\n  "rows": ['
@@ -418,7 +434,7 @@ def _write_dataset(command: str, meta_items, fieldnames, columns, config: RunCon
 def _cross_check(quantity, values: np.ndarray, closed: np.ndarray, where) -> None:
     """Raise NumericalIntegrityError unless every value is within CROSS_CHECK_TOL of closed, naming the worst
     point of the whole array, a NaN first, by where(index) and quantity, or the name of its row when stacked."""
-    index = np.unravel_index(np.argmax(np.abs(values - closed)), values.shape)
+    index = np.unravel_index(np.abs(values - closed).argmax(), values.shape)
     observed, expected = float(values[index]), float(closed[index])
     if not abs(observed - expected) <= CROSS_CHECK_TOL:  # a NaN fails too
         name = quantity if isinstance(quantity, str) else quantity[index[0]]
@@ -434,10 +450,10 @@ def cmd_lgi_scan(config: RunConfig) -> int:
         x_star, c_star = _refine(xs, closed_xs)
     else:
         x_star, c_star = lgi_maximize(config.x_min, config.x_max)
-    points = np.append(xs, x_star)
-    closed = np.append(closed_xs, c_star)  # c_star is the closed form at x_star, bit for bit
+    points = np.concatenate((xs, [x_star]))
+    closed = np.concatenate((closed_xs, [c_star]))  # c_star is the closed form at x_star, bit for bit
     values = closed.copy()  # the sequential schedule degenerates at zero gap
-    gaps = np.flatnonzero(points > 0.0)
+    gaps = (points > 0.0).nonzero()[0]
     for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
         block = gaps[lo : lo + BLOCK_ROWS]
         values[block] = lgi_functional_engine(points[block])
@@ -462,9 +478,9 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
-    values = np.stack([conditional_probability(query, spec) for query in queries])
+    values = np.array([conditional_probability(query, spec) for query in queries])
     product = lam_c * lam_r
-    closed = np.stack([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
+    closed = np.array([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     where = lambda index: f"lambda_c={float(lam_c[index[-1]])!r}, lambda_r={float(lam_r[index[-1]])!r}"
     _cross_check([f"{kind.value} conditional" for kind in kinds], values, closed, where)
     return values
@@ -577,9 +593,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(RunConfig))
+
+
+def _dimension(text: str) -> int:
+    """A --dim value: an int up to _MAX_DIM; massive_graviton_dof refuses one below 3."""
+    try:
+        dim = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if dim > _MAX_DIM:
+        raise argparse.ArgumentTypeError(
+            f"{dim} is past {_MAX_DIM}, the largest D whose massive count D(D-1)/2 - 1 fits in 2**64 - 1"
+        )
+    return dim
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
-    return RunConfig(**{name: value for name, value in vars(args).items() if name in fields})
+    return RunConfig(**{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS})
 
 
 @functools.cache
@@ -628,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("dof", parents=[output],
                                 help="graviton degrees of freedom in D dimensions")
-    sub.add_argument("--dim", type=int, required=True, help="spacetime dimension (>= 3)")
+    sub.add_argument("--dim", type=_dimension, required=True, help=f"spacetime dimension (3 to {_MAX_DIM})")
     sub.set_defaults(handler=lambda args: cmd_dof(_config_from(args), args.dim))
 
     sub = subparsers.add_parser("wd-check", parents=[clock, output],

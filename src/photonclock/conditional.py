@@ -162,9 +162,9 @@ def conditional_probability(query: ConditionalQuery, spec: ClockSpec) -> float |
     m0, m_c, m_r, m_cr = _moments(query.state_kind, query.formalism)
     numerator = (m0 + lam_c * m_c - lam_r * m_r - lam_c * lam_r * m_cr) / 4.0
     denominator = (m0 + lam_c * m_c) / 2.0
-    if np.any(denominator < DEGENERATE_DENOMINATOR):
+    if (denominator < DEGENERATE_DENOMINATOR).any():
         raise DegenerateConditioningError(
-            f"conditioning probability {float(np.min(denominator)):.3e} is numerically zero"
+            f"conditioning probability {float(denominator.min()):.3e} is numerically zero"
         )
     value = numerator / denominator
     return float(value) if value.ndim == 0 else value

@@ -47,6 +47,8 @@ CLASSICAL_BOUND = 2.0
 X_MAX = 1e4
 # the largest phase omega*t the engine evaluates, at t4 = 3 dt; the domain of every time
 _MAX_PHASE = 3.0 * X_MAX
+# the engine's default clock: the combination is dimensionless
+_UNIT_CLOCK = ClockSpec(1.0)
 
 
 class InitialCondition(enum.IntEnum):
@@ -170,7 +172,7 @@ def lgi_functional(x) -> float | np.ndarray:
     if not (np.abs(xv) <= sys.float_info.max / 2.0).all():  # a NaN fails too
         raise ValueError("x must lie within |x| <= sys.float_info.max / 2, where 2x stays finite")
     value = _closed_form(xv, np.cos)
-    return float(value) if np.isscalar(x) or xv.ndim == 0 else value
+    return float(value) if xv.ndim == 0 else value
 
 
 def lgi_functional_engine(
@@ -187,19 +189,19 @@ def lgi_functional_engine(
     frequency clock, which makes the result independent of any configured
     omega down to the last bit.
     """
-    spec = spec if spec is not None else ClockSpec(1.0)
+    spec = spec if spec is not None else _UNIT_CLOCK
     with np.errstate(over="ignore"):  # an overflowing time step raises the ValueError alone
         dt = np.divide(x, spec.omega)
         dt3 = 3.0 * dt
-        if not np.all((dt > 0.0) & np.isfinite(dt3)):
+        if not ((dt > 0.0) & np.isfinite(dt3)).all():
             raise ValueError("phase gap x must be positive, with x / omega a finite time")
-    if not np.all(np.less_equal(x, X_MAX)):
+    if not np.less_equal(x, X_MAX).all():
         raise ValueError(f"phase gap x must be at most X_MAX = {X_MAX:g}, the engine's accuracy envelope")
     # The schedule 0, dt, 2 dt, 3 dt has four distinct phases besides 0: omega times dt, 2 dt,
     # the last gap 3 dt - 2 dt and 3 dt (the middle gap 2 dt - dt is dt exactly). The pairs
     # (t1, t2) and (t1, t4) start at phase 0, whose cosine and sine are 1 and 0 exactly.
     dt2 = 2.0 * dt
-    phases = spec.omega * np.stack([dt, dt2, dt3 - dt2, dt3])
+    phases = spec.omega * np.array([dt, dt2, dt3 - dt2, dt3])
     cos, sin = np.cos(phases), np.sin(phases)
     # rows [::3] are the gaps dt and 3 dt; [:2] the starts dt and 2 dt of (t2, t3) and (t3, t4),
     # and [::2] their gaps dt and 3 dt - 2 dt
@@ -255,7 +257,7 @@ def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
 def _refine(grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """lgi_maximize past its scan: bracket the first maximum of the closed-form values
     on grid, then shrink the bracket by golden section below 1e-10 or to ulp(x)."""
-    best = int(np.argmax(values))  # argmax takes the first, hence lowest-x, maximum
+    best = int(values.argmax())  # argmax takes the first, hence lowest-x, maximum
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, grid.size - 1)])
 

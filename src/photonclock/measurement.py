@@ -41,16 +41,16 @@ class SharpnessPair:
     lambda_r: float | np.ndarray
 
     def __post_init__(self):
-        shapes = np.shape(self.lambda_c), np.shape(self.lambda_r)
         try:
-            np.broadcast_shapes(*shapes)
+            np.broadcast(self.lambda_c, self.lambda_r)
         except ValueError:
+            shapes = np.shape(self.lambda_c), np.shape(self.lambda_r)
             raise ValueError(
                 f"lambda_c shape {shapes[0]} and lambda_r shape {shapes[1]} do not broadcast"
             ) from None
         for value in (self.lambda_c, self.lambda_r):
             lam = np.asarray(value, dtype=float)
-            if not np.all((lam >= 0.0) & (lam <= 1.0)):  # NaN fails both comparisons
+            if not ((lam >= 0.0) & (lam <= 1.0)).all():  # NaN fails both comparisons
                 raise ValueError("sharpness values must lie in [0, 1]")
 
 
@@ -116,8 +116,10 @@ def luders_collapse(state, proj) -> tuple[np.ndarray, float]:
     collapse rule in this package; sequential statistics always use sharp
     readout.
 
-    Domain: finite entries, a projector Hermitian and idempotent to ATOL, and
-    |proj @ state|^2 <= sys.float_info.max; anything else raises ValueError.
+    Domain: finite entries, a unit-norm state, | |state|^2 - 1 | <= ATOL as
+    validate(state, "unit-norm") has it, and a projector Hermitian and
+    idempotent to ATOL; anything else raises ValueError. So the outcome
+    probability |proj @ state|^2 passes 1 by a few ATOL at most.
     """
     pm = np.asarray(proj, dtype=complex)
     vec = np.asarray(state, dtype=complex)
@@ -126,13 +128,14 @@ def luders_collapse(state, proj) -> tuple[np.ndarray, float]:
     for name, m in (("state", vec), ("projector", pm)):
         if not np.isfinite(m).all():
             raise ValueError(f"{name} must have finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the checks below
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry overflows to inf or NaN, which fails below
+        norm = validate(vec, "unit-norm")
+        if not norm.ok:
+            raise ValueError(f"state must be unit-norm: | |state|^2 - 1 | = {norm.violation:.3e} is past ATOL = {ATOL:g}")
         if not (np.max(np.abs(pm - pm.conj().T)) <= ATOL and np.max(np.abs(pm @ pm - pm)) <= ATOL):
             raise ValueError("collapse requires an idempotent Hermitian projector")
-        projected = pm @ vec
-        p = float(np.real(np.vdot(projected, projected)))
-    if not math.isfinite(p):
-        raise ValueError("|proj @ state|^2 passed the largest double, sys.float_info.max")
+    projected = pm @ vec
+    p = float(np.real(np.vdot(projected, projected)))
     if p < NULL_PROBABILITY:
         raise NullCollapseError(f"outcome probability {p:.3e} is null; branch before collapsing")
     return projected / math.sqrt(p), p

@@ -1,6 +1,5 @@
 """Sharp and smeared polarization measurements, Born rule, collapse."""
 
-import math
 import re
 import warnings
 
@@ -20,7 +19,7 @@ from photonclock import (
     unsharp_effects,
 )
 from photonclock.measurement import dichotomic_observable
-from photonclock.qstate import Subsystem, ket, projector, tensor_product
+from photonclock.qstate import ATOL, Subsystem, ket, projector, tensor_product, validate
 
 sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -260,6 +259,7 @@ class TestLudersCollapse:
     )
     @example([1e200, 0.0], np.eye(2))  # |state|^2 overflows
     @example([1.0, 0.0], [1.0, 0.0, 0.0, float("nan")])
+    @example([0.6, 0.8j], np.eye(2))
     def test_every_double_collapses_or_names_its_bound(self, state, proj):
         proj = np.reshape(proj, (2, 2))
         with warnings.catch_warnings():
@@ -269,10 +269,25 @@ class TestLudersCollapse:
             except NullCollapseError:
                 return
             except ValueError as exc:
-                assert re.search(r"finite entries|idempotent Hermitian projector|sys\.float_info\.max", str(exc))
+                assert re.search(r"finite entries|unit-norm|idempotent Hermitian projector", str(exc))
                 return
-        assert np.isfinite(post).all() and math.isfinite(p)
+        # a unit-norm state under a projector to ATOL: p passes 1 by a few ATOL at most
+        assert np.isfinite(post).all() and 0.0 <= p <= 1.0 + 10 * ATOL
         assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 0.0, 1.0 + 1e-12, 1.0 - 1e-12])
+    def test_a_state_off_unit_norm_is_refused(self, scale):
+        # luders_collapse([1e150, 0], P_H) used to return p = 1e300
+        state = scale * ket("H")
+        assert not validate(state, "unit-norm").ok
+        with pytest.raises(ValueError, match=r"^state must be unit-norm: .* is past ATOL = 1e-12$"):
+            luders_collapse(state, projector(ket("H")))
+
+    @pytest.mark.parametrize("scale", [1.0 + 4e-13, 1.0 - 4e-13])
+    def test_a_state_within_atol_of_unit_norm_collapses(self, scale):
+        post, p = luders_collapse(scale * ket("H"), projector(ket("H")))
+        assert p == scale * scale
+        np.testing.assert_array_equal(post, ket("H"))
 
     @given(st.floats(0.05, np.pi / 2 - 0.05))
     def test_collapse_is_idempotent(self, theta):

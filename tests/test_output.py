@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photonclock
@@ -311,6 +311,52 @@ def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size():
     p_st, p_td = cli._conditional_columns(grid[i], grid[j], cli.RunConfig(grid_n=grid_n))
     groups = assert_groups_rebuild([p_st, p_td, p_st - p_td])
     assert groups is not None and 2 * len(groups[0]) <= grid_n**2
+
+
+def same_groups(got, want):
+    """Two _row_groups answers: both None, or the same arrays with the same dtypes."""
+    if got is None or want is None:
+        return got is want
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def increasing_first_column(draw):
+    """A block whose first column strictly increases, with up to two more float columns of any values."""
+    first = sorted(draw(st.lists(st.floats(allow_nan=False), max_size=12, unique=True)))
+    others = st.lists(st.floats(), min_size=len(first), max_size=len(first))
+    return [np.array(first, float), *(np.array(column, float) for column in draw(st.lists(others, max_size=2)))]
+
+
+@settings(max_examples=200)
+@given(columns=increasing_first_column())
+@example(columns=[np.array([])])
+@example(columns=[np.array([0.5]), np.array([np.nan])])
+@example(columns=[np.array([-0.0, 1.0]), np.array([3.0, 3.0]), np.array([-0.0, -0.0])])
+def test_an_increasing_first_column_gives_the_sort_paths_answer(columns):
+    assert all(a < b for a, b in zip(columns[0].tolist(), columns[0].tolist()[1:]))
+    assert same_groups(cli._row_groups(columns), cli._sorted_row_groups(columns))
+
+
+@pytest.mark.parametrize("first, sorts", [
+    ([1.0, 2.0], False),
+    ([-0.0, 0.0], True),
+    ([0.0, -0.0], True),
+    ([1.0, np.nan, 2.0], True),
+    ([np.nan, np.nan], True),
+    ([1.0, 1.0], True),
+    ([2.0, 1.0], True),
+    ([], True),
+])
+def test_only_a_strictly_increasing_first_column_skips_the_sort(monkeypatch, first, sorts):
+    # -0.0 beside 0.0 and a NaN compare as no increase; zero rows, where the sort path
+    # gives empty groups rather than None, are sorted too
+    calls = []
+    real = cli._sorted_row_groups
+    monkeypatch.setattr(cli, "_sorted_row_groups", lambda columns: calls.append(columns) or real(columns))
+    columns = [np.array(first, float), np.zeros(len(first))]
+    assert same_groups(cli._row_groups(columns), real(columns))
+    assert len(calls) == sorts
 
 
 @FORMATS
