@@ -42,7 +42,6 @@ from .conditional import (
 from .dof import Spin, massive_graviton_dof, massless_graviton_dof, spin_multiplicity
 from .dynamics import ClockSpec, global_hamiltonian, wd_residual
 from .errors import NumericalIntegrityError
-from .lgi import _SCAN_SAMPLES, _refine
 from .lgi import X_MAX as _X_MAX
 from .lgi import lgi_functional, lgi_functional_engine, lgi_maximize, violates_classical_bound
 from .measurement import SharpnessPair
@@ -445,13 +444,9 @@ def _cross_check(quantity, values: np.ndarray, closed: np.ndarray, where) -> Non
 
 def cmd_lgi_scan(config: RunConfig) -> int:
     xs = np.linspace(config.x_min, config.x_max, config.x_steps + 1)
-    closed_xs = lgi_functional(xs)
-    if xs.size == _SCAN_SAMPLES:  # xs is the maximizer's own scan grid, so its values are too
-        x_star, c_star = _refine(xs, closed_xs)
-    else:
-        x_star, c_star = lgi_maximize(config.x_min, config.x_max)
+    x_star, c_star = lgi_maximize(config.x_min, config.x_max)
     points = np.concatenate((xs, [x_star]))
-    closed = np.concatenate((closed_xs, [c_star]))  # c_star is the closed form at x_star, bit for bit
+    closed = np.concatenate((lgi_functional(xs), [c_star]))  # c_star is the closed form at x_star
     values = closed.copy()  # the sequential schedule degenerates at zero gap
     gaps = (points > 0.0).nonzero()[0]
     for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point

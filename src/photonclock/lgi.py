@@ -25,6 +25,11 @@ the three-plus-one correlator combination
     C = C12 + C23 + C34 - C14 = 3 cos(2x) - cos(6x) = 6c - 4c^3,  c = cos(2x),
 
 exceeds the macrorealist bound 2 and reaches 2*sqrt(2) at x = pi/8.
+
+Its maximum over a window needs no search: C' vanishes only at x = k pi +- pi/8
+(2*sqrt(2)), k pi + pi/2 (-2) and k pi (2), so lgi_maximize evaluates the closed
+form at those points and the endpoints, for |x| <= sys.float_info.max / 2, within
+a derived bound of the true maximum that is vacuous past |x| ~ 1e15.
 """
 
 from __future__ import annotations
@@ -171,7 +176,8 @@ def lgi_functional(x) -> float | np.ndarray:
     xv = np.asarray(x, dtype=float)
     if not (np.abs(xv) <= sys.float_info.max / 2.0).all():  # a NaN fails too
         raise ValueError("x must lie within |x| <= sys.float_info.max / 2, where 2x stays finite")
-    value = _closed_form(xv, np.cos)
+    c = np.cos(2.0 * xv)  # 2x is exact
+    value = c * (6.0 - 4.0 * (c * c))  # 6c - 4c^3 in its least-rounding order
     return float(value) if xv.ndim == 0 else value
 
 
@@ -225,57 +231,34 @@ def violates_classical_bound(value: float | np.ndarray) -> bool | np.ndarray:
     return value > CLASSICAL_BOUND + 1e-12
 
 
-def _closed_form(x, cos=math.cos):
-    """3 cos(2x) - cos(6x) as 6c - 4c^3 in its least-rounding order c (6 - 4c^2), c = cos(2x) of the exact
-    2x; math.cos for the maximizer's refinement, np.cos for lgi_functional: a test pins them bit for bit."""
-    c = cos(2.0 * x)
-    return c * (6.0 - 4.0 * (c * c))
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-_SCAN_SAMPLES = 1025
-
-
 def lgi_maximize(x_lo: float, x_hi: float) -> tuple[float, float]:
-    """Maximize the closed-form combination on [x_lo, x_hi].
+    """Maximize the closed-form combination on [x_lo, x_hi]; returns (x_star, value at x_star).
 
-    Dense scan (1025 points, first maximum wins ties) brackets the
-    peak, then golden-section refinement shrinks the bracket below 1e-10 or to ulp(x).
-    Returns (x_star, value at x_star). Deterministic by construction.
+    With c = cos(2x), C' = -2 sin(2x) (6 - 12c^2) vanishes only at x = k pi +- pi/8
+    (C = 2 sqrt(2), the peaks), x = k pi + pi/2 (C = -2, local maxima) and x = k pi
+    (C = 2, minima). So the maximum is the largest closed-form value among the two
+    endpoints and the first two families' points strictly inside; an exact tie goes
+    to the lowest x. On (0, pi/2) that is x_star = fl(pi/8) itself.
+
+    Each candidate k pi + offset is off its critical point by delta <= 3 ulp(max |x| + 2),
+    from the roundings of pi, of the offset, of the product and of the sum (derived beside
+    the maximizer's dense-scan test in tests/test_lgi.py), and near a maximum C falls
+    as 2 sqrt(2) - 12 sqrt(2) delta^2 (the -2 family more slowly). The value returned
+    is therefore below the window's maximum by at most 12 sqrt(2) delta^2 plus twice
+    the closed form's 16 * 2**-53 rounding. The bound is vacuous once ulp(x) >~ 1/4,
+    |x| >~ 1e15, where doubles no longer resolve a peak.
 
     Domain: x_lo < x_hi in lgi_functional's domain, |x| <= sys.float_info.max / 2;
     anything else raises ValueError.
     """
     if not x_lo < x_hi:  # a NaN fails too
         raise ValueError("need x_lo < x_hi")
-    lgi_functional(np.array([x_lo, x_hi]))  # raises outside its domain, where linspace would overflow too
-    grid = np.linspace(x_lo, x_hi, _SCAN_SAMPLES)
-    return _refine(grid, lgi_functional(grid))
-
-
-def _refine(grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """lgi_maximize past its scan: bracket the first maximum of the closed-form values
-    on grid, then shrink the bracket by golden section below 1e-10 or to ulp(x)."""
+    points = [x_lo, x_hi]
+    if math.isfinite(x_lo):  # else lgi_functional raises below, before math.ceil could overflow
+        for offset in (-math.pi / 8.0, math.pi / 8.0, math.pi / 2.0):
+            k = math.ceil((x_lo - offset) / math.pi)  # the first k inside, give or take the rounding
+            points += [x for x in ((k + j) * math.pi + offset for j in (-1, 0, 1)) if x_lo < x < x_hi]
+    points.sort()
+    values = lgi_functional(np.array(points))  # raises outside its domain
     best = int(values.argmax())  # argmax takes the first, hence lowest-x, maximum
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid.size - 1)])
-
-    h = b - a
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    fc = _closed_form(c)
-    fd = _closed_form(d)
-    while h > 1e-10 and a < c < d < b:
-        if fc > fd or (fc == fd and c < d):
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INV_PHI_SQ * h
-            fc = _closed_form(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = _closed_form(d)
-    x_star = (a + b) / 2.0
-    return x_star, _closed_form(x_star)
+    return float(points[best]), float(values[best])

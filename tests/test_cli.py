@@ -142,15 +142,15 @@ class TestDispatch:
         assert "unrecognized arguments: --bogus" in err
 
 
-# 1024 steps scan the maximizer's own 1025-point grid, whose closed-form values the
-# scan then hands to the refinement; 1000 steps leave the maximizer to scan its own
+# every step count reports lgi_maximize over the whole window, whatever grid it scans;
+# 1024 steps is the benchmark's size
 @settings(max_examples=40, deadline=None)
 @given(
     window=st.tuples(st.floats(0.0, cli._X_MAX), st.floats(0.0, cli._X_MAX)).filter(lambda w: w[0] < w[1]),
-    steps=st.sampled_from([1024, 1000]),
+    steps=st.integers(1, 2048),
 )
 @example(window=(0.0, math.pi), steps=1024)
-@example(window=(0.0, math.pi), steps=1000)
+@example(window=(0.0, math.pi), steps=1)
 def test_the_scan_reports_the_maximizer_bit_for_bit(window, steps):
     x_min, x_max = window
     argv = ["lgi-scan", "--x-min", repr(x_min), "--x-max", repr(x_max), "--x-steps", str(steps)]
@@ -209,7 +209,7 @@ class TestLgiScan:
         fields = dict(
             part.split("=", 1) for part in meta.split() if "=" in part
         )
-        assert float(fields["x_star"]) == pytest.approx(math.pi / 8, abs=1e-8)
+        assert float(fields["x_star"]) == math.pi / 8
         assert float(fields["c_star"]) == pytest.approx(
             2.0 * math.sqrt(2.0), abs=1e-10
         )
