@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,38 +114,6 @@ def _cell_tables():
 
 
 _HEADS, _KEPT, _MOVED, _POINT = _cell_tables()
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    omega: float = 1.0
-    grid_n: int = 41
-    x_min: float = 0.0
-    x_max: float = math.pi
-    x_steps: int = 1024
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        ClockSpec(self.omega)
-        if self.grid_n < 2:
-            raise ValueError("grid-n must be at least 2")
-        if self.grid_n > _MAX_GRID_N:
-            raise ValueError(f"grid-n must be at most {_MAX_GRID_N}")
-        if self.x_steps < 1:
-            raise ValueError("x-steps must be at least 1")
-        if self.x_steps > _MAX_X_STEPS:
-            raise ValueError(f"x-steps must be at most {_MAX_X_STEPS}")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("x window must be finite")
-        if self.x_min < 0.0:
-            raise ValueError("x-min must be nonnegative")
-        if not self.x_min < self.x_max:
-            raise ValueError("need x-min < x-max")
-        if self.x_max > _X_MAX:
-            raise ValueError(f"x-max must be at most {_X_MAX:g}, the engine's accuracy envelope")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 def _fmt(value) -> str:
@@ -422,9 +388,9 @@ def _output(path: str | None):
         raise
 
 
-def _write_dataset(command: str, meta_items, fieldnames, columns, config: RunConfig) -> None:
-    with _output(config.output_path) as handle:
-        _write_rows(handle, command, meta_items, fieldnames, columns, config.format)
+def _write_dataset(command: str, meta_items, fieldnames, columns, args: argparse.Namespace) -> None:
+    with _output(args.out) as handle:
+        _write_rows(handle, command, meta_items, fieldnames, columns, args.format)
 
 
 # --- dataset commands -------------------------------------------------------
@@ -442,9 +408,11 @@ def _cross_check(quantity, values: np.ndarray, closed: np.ndarray, where) -> Non
         )
 
 
-def cmd_lgi_scan(config: RunConfig) -> int:
-    xs = np.linspace(config.x_min, config.x_max, config.x_steps + 1)
-    x_star, c_star = lgi_maximize(config.x_min, config.x_max)
+def cmd_lgi_scan(args: argparse.Namespace) -> int:
+    if not args.x_min < args.x_max:  # the one rule that spans two flags; each flag's range is in its type
+        raise ValueError(f"--x-min {args.x_min!r} must be below --x-max {args.x_max!r}")
+    xs = np.linspace(args.x_min, args.x_max, args.x_steps + 1)
+    x_star, c_star = lgi_maximize(args.x_min, args.x_max)
     points = np.concatenate((xs, [x_star]))
     closed = np.concatenate((lgi_functional(xs), [c_star]))  # c_star is the closed form at x_star
     values = closed.copy()  # the sequential schedule degenerates at zero gap
@@ -454,22 +422,22 @@ def cmd_lgi_scan(config: RunConfig) -> int:
         values[block] = lgi_functional_engine(points[block])
     _cross_check("engine", values, closed, lambda index: f"x={float(points[index])!r}")
     meta = [
-        ("omega", config.omega),
-        ("x_min", config.x_min),
-        ("x_max", config.x_max),
-        ("x_steps", config.x_steps),
+        ("omega", args.omega),
+        ("x_min", args.x_min),
+        ("x_max", args.x_max),
+        ("x_steps", args.x_steps),
         ("x_star", x_star),
         ("c_star", c_star),
     ]
     columns = (xs, values[:-1], violates_classical_bound(values[:-1]))
-    _write_dataset("lgi-scan", meta, ("x", "C", "violates"), columns, config)
+    _write_dataset("lgi-scan", meta, ("x", "C", "violates"), columns, args)
     return 0
 
 
-def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig) -> np.ndarray:
+def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, omega: float) -> np.ndarray:
     """The stationary and the time-averaged unsharp conditional at the sharpness points,
     stacked: one call per preparation, one comparison against the closed forms."""
-    spec = ClockSpec(config.omega)
+    spec = ClockSpec(omega)
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
@@ -481,30 +449,31 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, config: RunConfig
     return values
 
 
-def cmd_cond_surface(config: RunConfig) -> int:
-    grid = np.linspace(0.0, 1.0, config.grid_n)
-    i, j = _divmod(np.arange(config.grid_n**2), config.grid_n)  # row-major in (lambda_c, lambda_r)
-    p_st, p_td = _conditional_columns(grid[i], grid[j], config)
-    meta = [("omega", config.omega), ("panels", PANELS), ("grid_n", config.grid_n)]
+def cmd_cond_surface(args: argparse.Namespace) -> int:
+    grid = np.linspace(0.0, 1.0, args.grid_n)
+    i, j = _divmod(np.arange(args.grid_n**2), args.grid_n)  # row-major in (lambda_c, lambda_r)
+    p_st, p_td = _conditional_columns(grid[i], grid[j], args.omega)
+    meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    _write_dataset("cond-surface", meta, fields, ((grid, i), (grid, j), p_st, p_td, p_st - p_td), config)
+    _write_dataset("cond-surface", meta, fields, ((grid, i), (grid, j), p_st, p_td, p_st - p_td), args)
     return 0
 
 
-def cmd_cond_slice(config: RunConfig) -> int:
-    lam = np.linspace(0.0, 1.0, config.grid_n)
-    p_st, p_td = _conditional_columns(lam, lam, config)
-    meta = [("omega", config.omega), ("panels", PANELS), ("grid_n", config.grid_n)]
+def cmd_cond_slice(args: argparse.Namespace) -> int:
+    lam = np.linspace(0.0, 1.0, args.grid_n)
+    p_st, p_td = _conditional_columns(lam, lam, args.omega)
+    meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda", "P_stationary", "P_timeavg")
-    _write_dataset("cond-slice", meta, fields, (lam, p_st, p_td), config)
+    _write_dataset("cond-slice", meta, fields, (lam, p_st, p_td), args)
     return 0
 
 
-def cmd_dof(config: RunConfig, dim: int) -> int:
+def cmd_dof(args: argparse.Namespace) -> int:
+    dim = args.dim
     columns = [np.array([value]) for value in (dim, massless_graviton_dof(dim), massive_graviton_dof(dim))]
     meta = [("dim", dim)]
     fields = ("D", "massless_dof", "massive_dof")
-    _write_dataset("dof", meta, fields, columns, config)
+    _write_dataset("dof", meta, fields, columns, args)
     return 0
 
 
@@ -549,11 +518,11 @@ def _report_checks(spec: ClockSpec) -> list[dict]:
     return checks
 
 
-def _finish_checks(command: str, checks: list[dict], config: RunConfig) -> int:
+def _finish_checks(command: str, checks: list[dict], args: argparse.Namespace) -> int:
     """Write the checks and their verdict, as text lines or JSON; 3 when any check fails."""
-    meta = [("omega", config.omega), ("panels", PANELS)]
+    meta = [("omega", args.omega), ("panels", PANELS)]
     failing = [check["name"] for check in checks if not check["pass"]]
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps({"meta": _meta_object(command, meta), "checks": checks, "pass": not failing}, indent=2)
     else:
         lines = [f"# {_meta_string(command, meta)}"]
@@ -563,7 +532,7 @@ def _finish_checks(command: str, checks: list[dict], config: RunConfig) -> int:
         verdict = "FAIL" if failing else "PASS"
         lines.append(f"{command}: {verdict} ({len(checks) - len(failing)}/{len(checks)} checks)")
         text = "\n".join(lines)
-    with _output(config.output_path) as handle:
+    with _output(args.out) as handle:
         handle.write(f"{text}\n".encode("utf-8"))
     if failing:
         print(f"{TOOL} {command}: failed checks: {', '.join(failing)}", file=sys.stderr)
@@ -571,12 +540,12 @@ def _finish_checks(command: str, checks: list[dict], config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    return _finish_checks("report", _report_checks(ClockSpec(config.omega)), config)
+def cmd_report(args: argparse.Namespace) -> int:
+    return _finish_checks("report", _report_checks(ClockSpec(args.omega)), args)
 
 
-def cmd_wd_check(config: RunConfig) -> int:
-    return _finish_checks("wd-check", [_wd_check(ClockSpec(config.omega))], config)
+def cmd_wd_check(args: argparse.Namespace) -> int:
+    return _finish_checks("wd-check", [_wd_check(ClockSpec(args.omega))], args)
 
 
 # --- argument handling ------------------------------------------------------
@@ -588,24 +557,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(RunConfig))
+def _add_bounded(parser, flag: str, kind, low, high, help: str, **kwargs) -> None:
+    """Add flag with an argparse type that reads its text as kind and refuses a value outside [low, high],
+    NaN included. The range, each end as its repr, exact for a float, ends both the help and the error."""
+    span = f"[{low!r}, {high!r}]"
 
+    def bounded(text: str):
+        value = kind(text)  # a ValueError is argparse's "invalid <kind> value"
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text} is not in {span}")
+        return value
 
-def _dimension(text: str) -> int:
-    """A --dim value: an int up to _MAX_DIM; massive_graviton_dof refuses one below 3."""
-    try:
-        dim = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if dim > _MAX_DIM:
-        raise argparse.ArgumentTypeError(
-            f"{dim} is past {_MAX_DIM}, the largest D whose massive count D(D-1)/2 - 1 fits in 2**64 - 1"
-        )
-    return dim
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS})
+    bounded.__name__ = kind.__name__
+    parser.add_argument(flag, type=bounded, help=f"{help}, in {span}", **kwargs)
 
 
 @functools.cache
@@ -618,48 +582,47 @@ def build_parser() -> argparse.ArgumentParser:
     arguments once, with that parser alone.
     """
     clock = _Parser(add_help=False)
-    clock.add_argument("--omega", type=float, default=RunConfig.omega, help="clock angular frequency")
+    _add_bounded(clock, "--omega", float, math.ulp(0.0), sys.float_info.max, "clock angular frequency", default=1.0)
 
     output = _Parser(add_help=False)
-    output.add_argument("--out", dest="output_path", metavar="OUT", default=RunConfig.output_path,
-                        help="output file (default: stdout)")
-    output.add_argument("--format", choices=("csv", "json"), default=RunConfig.format)
+    output.add_argument("--out", help="output file (default: stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
 
     grid = _Parser(add_help=False)
-    grid.add_argument("--grid-n", type=int, default=RunConfig.grid_n, help="sharpness grid points per axis")
+    _add_bounded(grid, "--grid-n", int, 2, _MAX_GRID_N, "sharpness grid points per axis", default=41)
 
     window = _Parser(add_help=False)
-    window.add_argument("--x-min", type=float, default=RunConfig.x_min)
-    window.add_argument("--x-max", type=float, default=RunConfig.x_max)
-    window.add_argument("--x-steps", type=int, default=RunConfig.x_steps)
+    _add_bounded(window, "--x-min", float, 0.0, _X_MAX, "start of the phase-gap window", default=0.0)
+    _add_bounded(window, "--x-max", float, 0.0, _X_MAX, "end of the phase-gap window", default=math.pi)
+    _add_bounded(window, "--x-steps", int, 1, _MAX_X_STEPS, "intervals across the window", default=1024)
 
     parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub = subparsers.add_parser("lgi-scan", parents=[clock, output, window],
                                 help="Leggett-Garg combination over a phase-gap window")
-    sub.set_defaults(handler=lambda args: cmd_lgi_scan(_config_from(args)))
+    sub.set_defaults(handler=lambda args: cmd_lgi_scan(args))
 
     sub = subparsers.add_parser("cond-surface", parents=[clock, output, grid],
                                 help="conditional probabilities over the sharpness grid")
-    sub.set_defaults(handler=lambda args: cmd_cond_surface(_config_from(args)))
+    sub.set_defaults(handler=lambda args: cmd_cond_surface(args))
 
     sub = subparsers.add_parser("cond-slice", parents=[clock, output, grid],
                                 help="conditional probabilities along lambda_c = lambda_r")
-    sub.set_defaults(handler=lambda args: cmd_cond_slice(_config_from(args)))
+    sub.set_defaults(handler=lambda args: cmd_cond_slice(args))
 
     sub = subparsers.add_parser("report", parents=[clock, output],
                                 help="run every headline check and summarize")
-    sub.set_defaults(handler=lambda args: cmd_report(_config_from(args)))
+    sub.set_defaults(handler=lambda args: cmd_report(args))
 
     sub = subparsers.add_parser("dof", parents=[output],
                                 help="graviton degrees of freedom in D dimensions")
-    sub.add_argument("--dim", type=_dimension, required=True, help=f"spacetime dimension (3 to {_MAX_DIM})")
-    sub.set_defaults(handler=lambda args: cmd_dof(_config_from(args), args.dim))
+    _add_bounded(sub, "--dim", int, 3, _MAX_DIM, "spacetime dimension", required=True)
+    sub.set_defaults(handler=lambda args: cmd_dof(args))
 
     sub = subparsers.add_parser("wd-check", parents=[clock, output],
                                 help="verify the averaged state is annihilated by the generator")
-    sub.set_defaults(handler=lambda args: cmd_wd_check(_config_from(args)))
+    sub.set_defaults(handler=lambda args: cmd_wd_check(args))
     parser.commands = subparsers.choices  # each subcommand's parser, by name
     return parser
 

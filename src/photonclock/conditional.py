@@ -124,7 +124,7 @@ def stationary_state(spec: ClockSpec) -> np.ndarray:
     once, and each call returns a fresh copy; the conditionals read its
     moments, cached per preparation and formalism. `spec` is accepted but
     not read: the average is taken in the phase variable, so it does not
-    depend on omega.
+    depend on omega. Domain: any ClockSpec, whose omega is finite and positive.
     """
     return _stationary_cached().copy()
 
@@ -155,7 +155,9 @@ def conditional_probability(query: ConditionalQuery, spec: ClockSpec) -> float |
     are one-period averages taken before the ratio. The moments are cached
     per preparation and formalism, so a call is arithmetic on four numbers.
     `spec` is accepted but not read: every result is taken in the phase
-    variable, so none depends on omega.
+    variable, so none depends on omega. Domain: any query, whose SharpnessPair
+    holds its sharpnesses in [0, 1], and any ClockSpec; <Q_c> = 0 for both
+    preparations, so the denominator is 1/2 and never degenerate.
     """
     lam = query.effective_sharpness
     lam_c, lam_r = np.asarray(lam.lambda_c, dtype=float), np.asarray(lam.lambda_r, dtype=float)
@@ -176,6 +178,7 @@ def entanglement_advantage(pair: SharpnessPair, spec: ClockSpec) -> float | np.n
     Both terms come from the cached moments of their preparation, taken in
     the density-matrix formalism. `spec` is accepted but not read: the
     result is taken in the phase variable, so it does not depend on omega.
+    Domain: any SharpnessPair, which holds its values in [0, 1], and any ClockSpec.
     """
     stationary = conditional_probability(
         ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair), spec

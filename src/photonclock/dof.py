@@ -34,17 +34,19 @@ def _check_dim(dim: int) -> int:
 
 
 def massless_graviton_dof(dim: int) -> int:
-    """D(D-3)/2 transverse traceless polarizations; 2 in four dimensions."""
+    """D(D-3)/2 transverse traceless polarizations; 2 in four dimensions. Domain: an int
+    D >= 3, exact at any size; anything else, a float or a numpy integer too, raises ValueError."""
     d = _check_dim(dim)
     return d * (d - 3) // 2
 
 
 def massive_graviton_dof(dim: int) -> int:
-    """D(D-1)/2 - 1 components of a massive spin-2 field; 5 in four dimensions."""
+    """D(D-1)/2 - 1 components of a massive spin-2 field; 5 in four dimensions.
+    Domain: as massless_graviton_dof's, an int D >= 3; anything else raises ValueError."""
     d = _check_dim(dim)
     return d * (d - 1) // 2 - 1
 
 
 def spin_multiplicity(spin: Spin) -> int:
-    """2j + 1 magnetic sublevels."""
+    """2j + 1 magnetic sublevels. Domain: any Spin, whose twice_j is a nonnegative int."""
     return spin.twice_j + 1

@@ -40,13 +40,15 @@ class ClockSpec:
 
 
 def single_photon_hamiltonian(spec: ClockSpec) -> np.ndarray:
-    """i*hbar*omega*(|H><V| - |V><H|), the generator rotating H into -V."""
+    """i*hbar*omega*(|H><V| - |V><H|), the generator rotating H into -V.
+    Domain: any ClockSpec, whose omega is finite and positive, so every entry is finite."""
     h, v = ket("H"), ket("V")
     return 1j * HBAR * spec.omega * (np.outer(h, v.conj()) - np.outer(v, h.conj()))
 
 
 def global_hamiltonian(spec: ClockSpec) -> np.ndarray:
-    """Sum of the one-photon generators on the pair space, clock factor first."""
+    """Sum of the one-photon generators on the pair space, clock factor first.
+    Domain: any ClockSpec; every entry is 0 or +-i*omega, so none overflows."""
     h1 = single_photon_hamiltonian(spec)
     eye = np.eye(2, dtype=complex)
     return tensor_product(h1, eye) + tensor_product(eye, h1)

@@ -71,18 +71,23 @@ def dichotomic_observable(subsystem: Subsystem | None = None) -> np.ndarray:
 
 
 def _effect_factor(lam: float, outcome: Outcome) -> np.ndarray:
+    if np.ndim(lam) != 0:  # math.isfinite would raise a TypeError on an array
+        raise ValueError(f"sharpness must be a scalar in [0, 1], not an array of shape {np.shape(lam)}")
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise ValueError("sharpness must lie in [0, 1]")
     return (np.eye(2, dtype=complex) + outcome.value * lam * dichotomic_observable()) / 2.0
 
 
 def unsharp_effects(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one-photon effect pair (F_plus, F_minus) at sharpness lam."""
+    """The one-photon effect pair (F_plus, F_minus) at sharpness lam. Domain: a scalar
+    in [0, 1]; an array, even of one element, NaN and any other value raise ValueError."""
     return _effect_factor(lam, Outcome.H), _effect_factor(lam, Outcome.V)
 
 
 def joint_effect(pair: SharpnessPair, outcome_c: Outcome, outcome_r: Outcome) -> np.ndarray:
-    """Pair-space effect for reading outcome_c on the clock and outcome_r on the system."""
+    """Pair-space effect for reading outcome_c on the clock and outcome_r on the system.
+    Domain: a pair of scalar sharpnesses; an array-valued SharpnessPair, which the
+    conditionals take, raises ValueError, as unsharp_effects does."""
     return tensor_product(
         _effect_factor(pair.lambda_c, outcome_c),
         _effect_factor(pair.lambda_r, outcome_r),

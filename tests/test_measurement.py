@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from photonclock import (
     NullCollapseError,
@@ -103,6 +104,37 @@ class TestUnsharpEffects:
     def test_pair_resolves_identity(self, lam):
         f_plus, f_minus = unsharp_effects(lam)
         np.testing.assert_allclose(f_plus + f_minus, np.eye(2), atol=1e-15)
+
+
+# any double, or an array of sharpnesses that SharpnessPair accepts
+any_sharpness = st.floats() | hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3), elements=sharpness
+)
+
+
+class TestEffectDomain:
+    """Both effect builders take a scalar in [0, 1] and refuse anything else with a ValueError."""
+
+    @given(any_sharpness, sharpness, st.sampled_from(Outcome), st.sampled_from(Outcome))
+    @example(lam=np.array([0.5]), other=0.5, outcome_c=Outcome.H, outcome_r=Outcome.H)
+    @example(lam=np.array([0.5, 0.2]), other=0.5, outcome_c=Outcome.H, outcome_r=Outcome.V)
+    @example(lam=np.nan, other=0.5, outcome_c=Outcome.V, outcome_r=Outcome.H)
+    def test_a_scalar_in_range_or_a_value_error(self, lam, other, outcome_c, outcome_r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.ndim(lam) != 0:
+                scalar_only = r"^sharpness must be a scalar in \[0, 1\], not an array of shape "
+                with pytest.raises(ValueError, match=scalar_only):
+                    unsharp_effects(lam)
+                for pair in (SharpnessPair(lam, other), SharpnessPair(other, lam)):
+                    with pytest.raises(ValueError, match=scalar_only):
+                        joint_effect(pair, outcome_c, outcome_r)
+            elif not 0.0 <= lam <= 1.0:
+                with pytest.raises(ValueError, match=r"^sharpness must lie in \[0, 1\]$"):
+                    unsharp_effects(lam)
+            else:
+                assert all(validate(effect, "effect").ok for effect in unsharp_effects(lam))
+                assert validate(joint_effect(SharpnessPair(lam, other), outcome_c, outcome_r), "effect").ok
 
 
 class TestJointEffect:

@@ -308,7 +308,7 @@ def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size():
     grid_n = 41
     grid = np.linspace(0.0, 1.0, grid_n)
     i, j = cli._divmod(np.arange(grid_n**2), grid_n)
-    p_st, p_td = cli._conditional_columns(grid[i], grid[j], cli.RunConfig(grid_n=grid_n))
+    p_st, p_td = cli._conditional_columns(grid[i], grid[j], 1.0)
     groups = assert_groups_rebuild([p_st, p_td, p_st - p_td])
     assert groups is not None and 2 * len(groups[0]) <= grid_n**2
 
