@@ -415,11 +415,9 @@ def cmd_lgi_scan(args: argparse.Namespace) -> int:
     x_star, c_star = lgi_maximize(args.x_min, args.x_max)
     points = np.concatenate((xs, [x_star]))
     closed = np.concatenate((lgi_functional(xs), [c_star]))  # c_star is the closed form at x_star
-    values = closed.copy()  # the sequential schedule degenerates at zero gap
-    gaps = (points > 0.0).nonzero()[0]
-    for lo in range(0, gaps.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
-        block = gaps[lo : lo + BLOCK_ROWS]
-        values[block] = lgi_functional_engine(points[block])
+    values = np.empty_like(closed)
+    for lo in range(0, points.size, BLOCK_ROWS):  # bounds the engine's temporaries, ~0.5 kB a point
+        values[lo : lo + BLOCK_ROWS] = lgi_functional_engine(points[lo : lo + BLOCK_ROWS])
     _cross_check("engine", values, closed, lambda index: f"x={float(points[index])!r}")
     meta = [
         ("omega", args.omega),

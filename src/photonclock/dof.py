@@ -48,5 +48,6 @@ def massive_graviton_dof(dim: int) -> int:
 
 
 def spin_multiplicity(spin: Spin) -> int:
-    """2j + 1 magnetic sublevels. Domain: any Spin, whose twice_j is a nonnegative int."""
+    """2j + 1 magnetic sublevels. Domain: any Spin, whose twice_j is a nonnegative int; any
+    other type is the caller's error and raises TypeError or AttributeError."""
     return spin.twice_j + 1

@@ -41,14 +41,16 @@ class ClockSpec:
 
 def single_photon_hamiltonian(spec: ClockSpec) -> np.ndarray:
     """i*hbar*omega*(|H><V| - |V><H|), the generator rotating H into -V.
-    Domain: any ClockSpec, whose omega is finite and positive, so every entry is finite."""
+    Domain: any ClockSpec, whose omega is finite and positive, so every entry is finite;
+    any other type is the caller's error and raises TypeError or AttributeError."""
     h, v = ket("H"), ket("V")
     return 1j * HBAR * spec.omega * (np.outer(h, v.conj()) - np.outer(v, h.conj()))
 
 
 def global_hamiltonian(spec: ClockSpec) -> np.ndarray:
     """Sum of the one-photon generators on the pair space, clock factor first.
-    Domain: any ClockSpec; every entry is 0 or +-i*omega, so none overflows."""
+    Domain: any ClockSpec; every entry is 0 or +-i*omega, so none overflows. Any other
+    type is the caller's error and raises TypeError or AttributeError."""
     h1 = single_photon_hamiltonian(spec)
     eye = np.eye(2, dtype=complex)
     return tensor_product(h1, eye) + tensor_product(eye, h1)
@@ -85,19 +87,21 @@ def propagator(h, t: float) -> np.ndarray:
     Domain: a finite t with ||h||_inf * |t| <= MAX_NORM_TIME = 1e3, where the
     result is unitary to 1e-12. Past it the squarings' rounding grows with
     ||h|| |t| until the result is no rotation at all, so any other t raises
-    ValueError.
+    ValueError, as does every t when ||h||_inf overflows or h is not Hermitian to ATOL.
     """
     hm = np.asarray(h, dtype=complex)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
         raise ValueError("generator must be a square matrix")
-    t, norm = float(t), float(np.linalg.norm(hm, np.inf))
+    t = float(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm or skew raises its ValueError alone
+        norm, skew = float(np.linalg.norm(hm, np.inf)), float(np.max(np.abs(hm - hm.conj().T)))
+        scale = max(1.0, float(np.max(np.abs(hm))))
     if not (math.isfinite(t) and norm * abs(t) <= MAX_NORM_TIME):  # a NaN norm fails too
         raise ValueError(
             f"propagator needs a finite t with ||h||_inf * |t| <= {MAX_NORM_TIME:g}; "
             f"got t={t!r} and ||h||_inf={norm!r}"
         )
-    scale = max(1.0, float(np.max(np.abs(hm))) if hm.size else 0.0)
-    if float(np.max(np.abs(hm - hm.conj().T))) > ATOL * scale:
+    if skew > ATOL * scale:
         raise ValueError("generator must be Hermitian")
     return _expm_series((-1j * t / HBAR) * hm)
 

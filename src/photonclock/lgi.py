@@ -43,7 +43,6 @@ import numpy as np
 
 from .dynamics import ClockSpec
 from .measurement import NULL_PROBABILITY, Outcome
-from .qstate import ket
 
 CLASSICAL_BOUND = 2.0
 
@@ -61,10 +60,6 @@ class InitialCondition(enum.IntEnum):
 
     START_H = 1
     START_V = 2
-
-    @property
-    def clock_ket(self) -> np.ndarray:
-        return ket("H") if self is InitialCondition.START_H else ket("V")
 
 
 @dataclass(frozen=True)
@@ -186,10 +181,10 @@ def lgi_functional_engine(
 ) -> float | np.ndarray:
     """The same combination evaluated by the collapse-and-evolve engine, for a scalar or an array.
 
-    Domain: every gap in 0 < x <= X_MAX = 1e4, with x / omega a finite time;
-    there the engine stays within 1e-10 of the closed form: at most 2.3e-15 on
-    (0, pi], 7.7e-15 on [1, 10) and 7.3e-12 on [1e3, 1e4], in 200,000 x per
-    range, uniform in the first, log-uniform after. Anything else raises ValueError.
+    Domain: every gap in 0 <= x <= X_MAX = 1e4, with x / omega a finite time; anything
+    else raises ValueError. There the engine gives exactly 2 at x = +-0.0, every phase 0,
+    and stays within 1e-10 of the closed form: at most 2.3e-15 on (0, pi], 7.7e-15 on
+    [1, 10) and 7.3e-12 on [1e3, 1e4], in 200,000 x per range, uniform, then log-uniform.
 
     The quantity is dimensionless, so by default it is evaluated on a unit
     frequency clock, which makes the result independent of any configured
@@ -199,8 +194,8 @@ def lgi_functional_engine(
     with np.errstate(over="ignore"):  # an overflowing time step raises the ValueError alone
         dt = np.divide(x, spec.omega)
         dt3 = 3.0 * dt
-        if not ((dt > 0.0) & np.isfinite(dt3)).all():
-            raise ValueError("phase gap x must be positive, with x / omega a finite time")
+        if not (np.greater_equal(x, 0.0) & np.isfinite(dt3)).all():  # x itself: x / omega may round to -0.0
+            raise ValueError("phase gap x must be nonnegative, with x / omega a finite time")
     if not np.less_equal(x, X_MAX).all():
         raise ValueError(f"phase gap x must be at most X_MAX = {X_MAX:g}, the engine's accuracy envelope")
     # The schedule 0, dt, 2 dt, 3 dt has four distinct phases besides 0: omega times dt, 2 dt,

@@ -32,7 +32,7 @@ from photonclock import (
     violates_classical_bound,
 )
 from photonclock.lgi import X_MAX, _correlator, _joint_table
-from photonclock.qstate import projector
+from photonclock.qstate import ket, projector
 
 UNIT = ClockSpec(1.0)
 
@@ -104,7 +104,7 @@ def scalar_chain(init, outcome1, t1, outcome2, t2, spec):
     """The validated single-state pipeline: series propagator, Lüders collapse, Born rule."""
     sharp = unsharp_effects(1.0)
     h = single_photon_hamiltonian(spec)
-    psi = propagator(h, t1) @ init.clock_ket
+    psi = propagator(h, t1) @ ket("H" if init is InitialCondition.START_H else "V")
     try:
         post, p1 = luders_collapse(psi, sharp[outcome1.index])
     except NullCollapseError:
@@ -457,10 +457,26 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             lgi_value(LgiSchedule(-0.5, 0.5, 1.0, 2.0), UNIT)
 
-    def test_engine_rejects_any_nonpositive_gap(self):
-        for x in (0.0, -0.3, np.nan, np.inf, [0.2, 0.0]):
-            with pytest.raises(ValueError):
-                lgi_functional_engine(x)
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("init", list(InitialCondition))
+    def test_engine_is_two_at_the_zero_gap(self, omega, init):
+        # four readouts at one instant: every phase is 0, cos = 1 and sin = 0 exactly,
+        # so C12 = C23 = C34 = C14 = 1
+        spec = ClockSpec(omega)
+        for x in (0.0, -0.0):
+            value = lgi_functional_engine(x, spec, init)
+            assert type(value) is float and value == 2.0
+        for batch in ([0.0, 0.2], [-0.0, 0.2, 0.0], [0.2, 0.0, X_MAX]):
+            engine = lgi_functional_engine(np.array(batch), spec, init)
+            scalars = np.array([lgi_functional_engine(x, spec, init) for x in batch])
+            assert engine.tobytes() == scalars.tobytes()
+
+    def test_engine_rejects_any_negative_or_nonfinite_gap(self):
+        # at omega = 1e3 the time step -5e-324 / omega rounds to -0.0, which must not pass for a zero gap
+        for omega in (1e-3, 1.0, 1e3):
+            for x in (-5e-324, -0.3, np.nan, np.inf, -np.inf, [0.2, -5e-324]):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    lgi_functional_engine(x, ClockSpec(omega))
 
     def test_engine_holds_to_the_edge_of_its_domain(self):
         assert X_MAX == 1e4
