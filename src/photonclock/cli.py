@@ -186,9 +186,10 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     product >= 1e16 > 2**53 is an even integer, so product + rint(error) is D
     rounded half to even, as "%.17g" rounds. A D outside [1e16, 1e17) means
     log10 was off by one or the rounding carried into an 18th digit: that
-    cell, any other nonzero value and any non-finite value is written by
-    "%.17g" itself. Every double below 10**k, -4 <= k <= 16, lies at least
-    8e-17 of 10**k below it, so a log10 rounded up to k gives D < 1e16.
+    cell and any value outside fixed notation, ±0.0 and non-finite values
+    included, is written by "%.17g" itself. Every double below 10**k,
+    -4 <= k <= 16, lies at least 8e-17 of 10**k below it, so a log10 rounded
+    up to k gives D < 1e16.
     """
     magnitude = np.abs(values)
     fixed = (magnitude >= 1e-4) & (magnitude < 1e17)
@@ -203,10 +204,8 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     fixed &= (digits >= 10**16) & (digits < 10**17)
     digits = np.where(fixed, digits, 10**16)  # any 17 digits, so that every table index below is in range
 
-    zero = values == 0.0
     upper, lower = _divmod(digits, 10**8)
     lead, upper = _divmod(upper, 10**8)
-    lead *= ~zero  # a zero's digits are now a 1 and sixteen 0s: its 1 becomes 0 too
     words = [*_divmod(upper, 10**4), *_divmod(lower, 10**4)]
     cells = np.empty((values.size, 3), np.uint64)
     cells[:, 0] = _HEADS.take((np.signbit(values) * 5 + np.maximum(-k, 0)) * 10 + lead)
@@ -226,7 +225,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     cells |= _POINT.take(layout, axis=0)
 
     cells = cells.view(np.uint8)
-    other = ~(fixed | zero)
+    other = ~fixed
     if other.any():
         text = ["%.17g" % value for value in values[other].tolist()]
         cells[other] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)

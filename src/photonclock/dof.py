@@ -13,7 +13,7 @@ class Spin:
     twice_j: int
 
     def __post_init__(self):
-        if not (isinstance(self.twice_j, int) and self.twice_j >= 0):
+        if not (type(self.twice_j) is int and self.twice_j >= 0):  # a bool is refused
             raise ValueError("twice_j must be a nonnegative integer")
 
     @classmethod

@@ -26,6 +26,14 @@ def run_to_text(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses a NaN, Infinity or -Infinity token, which is not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_captured(argv):
     """main(argv) with its own capture, for property tests that cannot take capsys.
 
@@ -436,7 +444,7 @@ class TestSummaryCommands:
         assert lines[-1] == ("report: FAIL (14/15 checks)" if failing else "report: PASS (15/15 checks)")
         assert err == ("photonclock report: failed checks: C_max_engine\n" if failing else "")
         rc, out, _ = run_to_text(capsys, ["report", "--format", "json"])
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert rc == (3 if failing else 0)
         assert obj["pass"] is (not failing)
         assert [check["name"] for check in obj["checks"] if not check["pass"]] == failing
@@ -452,7 +460,7 @@ class TestSummaryCommands:
         assert err == ("photonclock wd-check: failed checks: wd_residual\n" if failing else "")
         rc, out, _ = run_to_text(capsys, ["wd-check", "--format", "json"])
         assert rc == (3 if failing else 0)
-        assert json.loads(out)["pass"] is (not failing)
+        assert strict_json(out)["pass"] is (not failing)
 
     @pytest.mark.parametrize(
         "engine_offset, residual_factor, fails",
@@ -478,7 +486,7 @@ class TestSummaryCommands:
     def test_report_json(self, capsys):
         rc, out, _ = run_to_text(capsys, ["report", "--format", "json"])
         assert rc == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert obj["pass"] is True
         assert len(obj["checks"]) == 15
         for check in obj["checks"]:
@@ -489,14 +497,10 @@ class TestSummaryCommands:
     def test_non_finite_check_value_is_strict_json(self, capsys, monkeypatch, bad, text):
         # JSON has no number for inf or NaN, so the value is the text the text report prints
         monkeypatch.setattr(cli, "lgi_functional_engine", lambda x: bad)
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
         rc, out, err = run_to_text(capsys, ["report", "--format", "json"])
         assert rc == 3
         assert err == "photonclock report: failed checks: C_max_engine\n"
-        checks = {check["name"]: check for check in json.loads(out, parse_constant=refuse)["checks"]}
+        checks = {check["name"]: check for check in strict_json(out)["checks"]}
         assert checks["C_max_engine"]["value"] == text
         assert checks["C_max_engine"]["pass"] is False
         rc, out, _ = run_to_text(capsys, ["report"])

@@ -192,6 +192,8 @@ class TestCounts:
     @given(any_int)
     @example(2**64)
     @example(-1)
+    @example(True)
+    @example(False)
     def test_spin_multiplicity(self, twice_j):
         with strict():
             if not (type(twice_j) is int and twice_j >= 0):

@@ -1,5 +1,10 @@
 """Every file scripts/reproduce_results.py writes, against the committed digests.
 
+The script runs as `python -W error`, so any warning it raises fails the run.
+Exit 0 means every command and every report check passed; the exact file set
+means no hidden `.{name}.{pid}.{n}` temp file was left beside an `--out`
+target; the digests mean a rerun writes the same bytes.
+
 tests/data/results.sha256 is in sha256sum's format. A change that alters
 output bytes on purpose re-records it in the same commit, from the repository
 root:
@@ -26,7 +31,7 @@ def test_reproduced_files_match_the_ledger(tmp_path):
     expected = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
     src = os.path.dirname(os.path.dirname(photonclock.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, str(SCRIPT), "--out-dir", str(tmp_path)],
+    done = subprocess.run([sys.executable, "-W", "error", str(SCRIPT), "--out-dir", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}

@@ -453,6 +453,15 @@ class TestBatchedKernel:
         engine = lgi_functional_engine(xs, ClockSpec(omega), init)
         assert np.array_equal(engine, general_schedule_engine(xs, omega, init))
 
+    @given(st.floats(min_value=1e-6, max_value=X_MAX / 2.0), st.floats(min_value=1e-3, max_value=1e3), preparations)
+    def test_engine_is_lgi_value_on_the_equal_schedule_bit_for_bit(self, x, omega, init):
+        # the public schedule route: 2 dt - dt is dt exactly, and the pairs that start at
+        # t = 0.0 take cos 0 = 1 and sin 0 = 0, the engine's constants
+        dt = x / omega
+        spec = ClockSpec(omega)
+        route = lgi_value(LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt), spec, init)
+        assert route.hex() == lgi_functional_engine(x, spec, init).hex()
+
     def test_schedule_before_preparation_rejected(self):
         with pytest.raises(ValueError):
             lgi_value(LgiSchedule(-0.5, 0.5, 1.0, 2.0), UNIT)

@@ -100,6 +100,11 @@ def _cell_bits(value):
     return value if isinstance(value, bool) else struct.pack("<d", value)
 
 
+def _refuse_constant(token):
+    """json.loads's parse_constant: a NaN, Infinity or -Infinity token is not JSON."""
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("argv", README_RUNS, ids=[argv[0] for argv in README_RUNS])
 def test_json_rows_are_the_csv_doubles(capsys, argv):
     # ints and integral floats both read back as floats; a CSV cell reads back through float()
@@ -109,7 +114,7 @@ def test_json_rows_are_the_csv_doubles(capsys, argv):
     csv_rows = [[_cell_bits(bools[cell] if cell in bools else float(cell)) for cell in line.split(",")]
                 for line in lines]
     assert main(argv + ["--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out, parse_int=float)["rows"]
+    rows = json.loads(capsys.readouterr().out, parse_int=float, parse_constant=_refuse_constant)["rows"]
     assert [[_cell_bits(value) for value in row.values()] for row in rows] == csv_rows
 
 
