@@ -7,9 +7,11 @@ identical configurations produce byte-identical files. One block writer,
 _write_rows, lays out both, BLOCK_ROWS rows at a time, and every cell is the
 same text in both: a float is its exact "%.17g" text (_float_cells). So JSON
 has 2 and -0 for 2.0 and -0.0, and refuses inf and NaN, which it has no text
-for, as a numerical integrity error. --out is replaced atomically once
-complete (_output). Every reported quantity is dimensionless, which makes
-the data independent of --omega.
+for, as a numerical integrity error. A factored column (values, index), as
+cond-surface writes all of its columns, has each value formatted once per
+dataset. --out is replaced atomically once complete (_output). Every
+reported quantity is dimensionless, which makes the data independent of
+--omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
 memory included; a closed pipe exits quietly), 3 numerical integrity.
@@ -142,41 +144,6 @@ def _meta_object(command: str, items: list[tuple[str, object]]) -> dict:
     return meta
 
 
-def _row_groups(columns):
-    """``(first, inverse)`` with ``column[first][inverse]`` equal to each of the block's plain
-    columns, when at most half of the rows start a group; otherwise None.
-
-    A first column that strictly increases, as lgi-scan's x does, starts a
-    group at every row, so it gives None without a sort. Any other block goes
-    to _sorted_row_groups: -0.0 beside 0.0 and a NaN compare as no increase.
-    """
-    first = columns[0]
-    if first.size and (first[1:] > first[:-1]).all():
-        return None
-    return _sorted_row_groups(columns)
-
-
-def _sorted_row_groups(columns):
-    """_row_groups by one argsort on the bits of the first column, which orders the rows.
-
-    A group starts wherever the bits of any column change, so the rows of a
-    group share their bits in every column and -0.0 stays apart from 0.0. A tie
-    in the first column that splits in another column just splits the group: a
-    value may then be formatted twice, but never wrongly.
-    """
-    order = columns[0].view(f"u{columns[0].itemsize}").argsort()
-    starts = np.zeros(order.size, bool)
-    starts[:1] = True
-    for column in columns:
-        ordered = column.view(f"u{column.itemsize}").take(order)
-        starts[1:] |= ordered[1:] != ordered[:-1]
-        if 2 * np.count_nonzero(starts) > starts.size:  # a further column only adds starts
-            return None
-    inverse = np.empty_like(order)
-    inverse[order] = starts.cumsum() - 1
-    return order[starts], inverse
-
-
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """The ``"%.17g" % v`` text of each float, as the NUL-padded rows of an (n, 24) uint8 matrix.
 
@@ -233,7 +200,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _row_count(column) -> int:
-    """The rows of a column: a 1-d array, or a factored float column ``(values, index)`` for values[index]."""
+    """The rows of a column: a 1-d array, or a factored column ``(values, index)`` for values[index]."""
     return len(column[1]) if isinstance(column, tuple) else len(column)
 
 
@@ -241,12 +208,11 @@ def _text_block(columns, pieces) -> bytearray:
     """One block of rows as ASCII bytes, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
 
     The rows are laid out from one repeated row template in a NUL-padded byte
-    matrix, whose NULs are then dropped. The floats of all float columns go
-    through one _float_cells call, which gives each its text in a 24-byte cell.
-    A factored column sends its values. When the plain float columns form at
-    most half as many row groups as rows (_row_groups), each sends one value a
-    group. Either way the rows gather their cells through the index, and each
-    cell is written as one item.
+    matrix, whose NULs are then dropped. A factored column comes as ``(cells,
+    index)``, its values already formatted (_factored_cells), so its rows only
+    gather their cells through the index. The floats of the plain float
+    columns go through one _float_cells call, which gives each its text in a
+    24-byte cell. Each cell is written as one item.
     """
     rows = _row_count(columns[0])
     widths = [
@@ -260,37 +226,46 @@ def _text_block(columns, pieces) -> bytearray:
         template += bytes(width)
     text = (template + pieces[-1]) * rows
     matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
-    floats, slots, plain = [], [], []  # values to format; (cells, index or None); plain (values, cells)
+    floats, slots = [], []  # the plain float columns and their cells
     for values, start, width in zip(columns, starts, widths):
-        cells = matrix[:, start : start + width]
+        cells = matrix[:, start : start + width].view(f"V{width}")[:, 0]  # one item a cell
         if isinstance(values, tuple):
-            floats.append(values[0])
-            slots.append((cells, values[1]))
+            cells[:] = values[0].take(values[1])
         elif values.dtype == np.bool_:
-            cells.view("V5")[:, 0] = _BOOL_CELLS.take(values.view(np.uint8))
+            cells[:] = _BOOL_CELLS.take(values.view(np.uint8))
         elif values.dtype.kind in "iu":
-            cells.view("V20")[:, 0] = values.astype("S20").view("V20")  # exact for all of int64
+            cells[:] = values.astype("S20").view("V20")  # exact for all of int64
         else:
-            plain.append((values, cells))
-    groups = _row_groups([values for values, _ in plain]) if plain else None
-    for values, cells in plain:
-        floats.append(values if groups is None else values.take(groups[0]))
-        slots.append((cells, None if groups is None else groups[1]))
+            floats.append(values)
+            slots.append(cells)
     if floats:
-        formatted = _float_cells(np.concatenate(floats)).view(f"V{_CELL}")[:, 0]  # one 24-byte item a cell
-        lo = 0
-        for (cells, index), values in zip(slots, floats):
-            part = formatted[lo : lo + values.size]
-            lo += values.size
-            cells.view(f"V{_CELL}")[:, 0] = part if index is None else part.take(index)
+        formatted = _float_cells(np.concatenate(floats)).view(f"V{_CELL}").reshape(len(floats), rows)
+        for cells, part in zip(slots, formatted):
+            cells[:] = part
     return text.translate(None, b"\0")
 
 
 def _blocks(columns):
-    """The columns, BLOCK_ROWS rows at a time; a factored column keeps its values and slices its index."""
+    """The columns, BLOCK_ROWS rows at a time; a factored column keeps its cells and slices its index."""
     for lo in range(0, _row_count(columns[0]), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         yield [(column[0], column[1][rows]) if isinstance(column, tuple) else column[rows] for column in columns]
+
+
+def _factored_cells(columns):
+    """The columns with each factored column's values as their 24-byte cells. The values of all
+    factored columns are formatted once for the dataset, into one array, BLOCK_ROWS values a
+    _float_cells call, so that the call's temporaries stay the size of a block's."""
+    factored = [column[0] for column in columns if isinstance(column, tuple)]
+    values = np.concatenate(factored) if factored else np.empty(0)
+    cells = np.empty(values.size, f"V{_CELL}")
+    for lo in range(0, values.size, BLOCK_ROWS):
+        cells[lo : lo + BLOCK_ROWS] = _float_cells(values[lo : lo + BLOCK_ROWS]).view(f"V{_CELL}")[:, 0]
+    columns, lo = list(columns), 0
+    for n, column in enumerate(columns):
+        if isinstance(column, tuple):
+            columns[n], lo = (cells[lo : lo + column[0].size], column[1]), lo + column[0].size
+    return columns
 
 
 def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str) -> None:
@@ -299,6 +274,8 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     The text is byte-identical to a CSV with one line per row and "%.17g" floats, or
     to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"`` with the rows' floats
     in that text; JSON refuses inf and NaN, at their first column and row, before writing.
+    A factored float column ``(values, index)`` stands for values[index]: its values are
+    formatted once for the dataset (_factored_cells), and each block gathers their cells.
     """
     if fmt == "json":
         for name, column in zip(fieldnames, columns):
@@ -316,7 +293,7 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
         pieces = ["\n", *[","] * (len(fieldnames) - 1), ""]
     pieces = [piece.encode("ascii") for piece in pieces]
     handle.write(head.encode("utf-8"))
-    for index, block in enumerate(_blocks(columns)):
+    for index, block in enumerate(_blocks(_factored_cells(columns))):
         text = _text_block(block, pieces)
         if index == 0 and fmt == "json":
             text = memoryview(text)[1:]  # no comma before the first row
@@ -446,13 +423,34 @@ def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, omega: float) -> 
     return values
 
 
+def _product_groups(grid: np.ndarray):
+    """``(first, index)``: the row-major pairs of grid x grid grouped by the bits of lc * lr,
+    first[g] the first pair of group g in row-major order (the sort is stable), index[pair] its group.
+
+    Each conditional is a function of those bits. In the density-matrix route <Q_c> and <Q_r>
+    are exactly +0.0 for both preparations, so for lc, lr in [0, 1] the numerator
+    (m0 + lc*m_c - lr*m_r - lc*lr*m_cr)/4 is (m0 - (lc*lr)*m_cr)/4 and the denominator
+    (m0 + lc*m_c)/2 is m0/2, bit for bit, as are the closed forms. Each product is >= +0.0
+    and finite, so the unsigned order of its bits is its numeric order.
+    """
+    bits = np.multiply.outer(grid, grid).view(np.uint64).ravel()
+    order = bits.argsort(kind="stable")
+    ordered = bits.take(order)
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    index = np.empty_like(order)
+    index[order] = starts.cumsum() - 1
+    return order[starts], index
+
+
 def cmd_cond_surface(args: argparse.Namespace) -> int:
     grid = np.linspace(0.0, 1.0, args.grid_n)
     i, j = _divmod(np.arange(args.grid_n**2), args.grid_n)  # row-major in (lambda_c, lambda_r)
-    p_st, p_td = _conditional_columns(grid[i], grid[j], args.omega)
+    first, index = _product_groups(grid)
+    p_st, p_td = _conditional_columns(grid[i[first]], grid[j[first]], args.omega)
     meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    _write_dataset("cond-surface", meta, fields, ((grid, i), (grid, j), p_st, p_td, p_st - p_td), args)
+    columns = ((grid, i), (grid, j), (p_st, index), (p_td, index), (p_st - p_td, index))  # all factored
+    _write_dataset("cond-surface", meta, fields, columns, args)
     return 0
 
 

@@ -46,6 +46,16 @@ def run_captured(argv):
     return rc, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_process(argv):
+    """photonclock argv in a real process, for what pytest's capture cannot stand in for:
+    sys.stdout.buffer, and what the interpreter prints at exit."""
+    command = [sys.executable, "-m", "photonclock.cli", *argv]
+    return subprocess.run(command, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, timeout=120)
+
+
 def data_lines(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
@@ -180,6 +190,33 @@ class TestFlagRanges:
         assert ranges
         for flag, low, high in ranges:
             assert lines[flag].endswith(f", in [{low!r}, {high!r}]")
+
+    # each bounded flag one step past an end, a NaN, a text that is no value of the flag's kind and the
+    # window rule that spans two flags, in a real process, as pytest's capture does not see what the
+    # interpreter prints at exit. The = form keeps a negative value such as -5e-324 from being an option
+    @pytest.mark.parametrize("argv", [
+        "wd-check --omega=0.0",
+        "report --omega=inf",
+        "cond-surface --grid-n=1",
+        "cond-slice --grid-n=1025",
+        "lgi-scan --x-min=-5e-324",
+        "lgi-scan --x-min=10000.000000000002",
+        "lgi-scan --x-max=-5e-324",
+        "lgi-scan --x-max=10000.000000000002",
+        "lgi-scan --x-steps=0",
+        "lgi-scan --x-steps=1048577",
+        "dof --dim=2",
+        "dof --dim=6074001001",
+        "lgi-scan --x-min 3 --x-max 0.5",
+        "report --omega=nan",
+        "lgi-scan --x-min=nan",
+        "cond-surface --grid-n=4.5",
+        "lgi-scan --x-steps=1e3",
+    ])
+    def test_a_refused_flag_is_a_usage_error_in_a_real_process(self, argv):
+        done = run_process(argv.split())
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr and b"Traceback" not in done.stderr
 
     def test_the_window_rule_names_both_flags(self, capsys):
         rc, out, err = run_to_text(capsys, ["lgi-scan", "--x-min", "3", "--x-max", "0.5"])
@@ -360,13 +397,20 @@ class TestConditionalCommands:
         ],
     )
     def test_integrity_failure_names_the_point(self, capsys, monkeypatch, command, index, where, error):
-        # a conditional that is off the closed form, or NaN, at one grid point only
+        # a conditional that is off the closed form, or NaN, at the product lambda_c * lambda_r of the
+        # dataset row's pair only. cond-surface evaluates each distinct product once, at its first pair
+        # in row-major order, so the product 0.5 of row 5 is evaluated, and named, at (0.5, 1.0), not (1.0, 0.5)
+        grid = (0.0, 0.5, 1.0)
+        pairs = [(c, r) for c in grid for r in grid] if command == "cond-surface" else [(x, x) for x in grid]
+        product = pairs[index][0] * pairs[index][1]
         real = cli.conditional_probability
 
         def off_at_one_point(query, spec):
             values = real(query, spec)
             if query.state_kind is cli.StateKind.TIME_DEPENDENT:
-                values[index] += error
+                at = query.sharpness.lambda_c * query.sharpness.lambda_r == product
+                assert at.sum() == 1
+                values[at] += error
             return values
 
         monkeypatch.setattr(cli, "conditional_probability", off_at_one_point)
@@ -552,7 +596,7 @@ class TestFilesAndDeterminism:
     )
     def test_a_closed_pipe_exits_two_without_a_message(self, argv, read, buffered):
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = SRC
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         command = [sys.executable, "-m", "photonclock.cli", *argv]
@@ -561,6 +605,15 @@ class TestFilesAndDeterminism:
         process.stdout.close()
         _, err = process.communicate(timeout=60)
         assert (process.returncode, err) == (2, b"")
+
+    @pytest.mark.parametrize("argv", [["cond-surface"], ["lgi-scan", "--format", "json"]], ids=" ".join)
+    def test_stdout_is_the_out_file(self, tmp_path, argv):
+        # pytest's capture replaces sys.stdout.buffer, so only a real process writes through it
+        target = tmp_path / "out.data"
+        assert run_process([*argv, "--out", str(target)]).returncode == 0
+        done = run_process(argv)
+        assert done.returncode == 0
+        assert done.stdout == target.read_bytes()
 
     def test_missing_directory_is_an_io_error(self, capsys):
         rc, _, err = run_to_text(

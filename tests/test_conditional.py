@@ -297,6 +297,13 @@ class TestMomentsCache:
             oracle = [trace_of_product(op, rho).real for op in conditional_module._MOMENTS]
             np.testing.assert_allclose(conditional_module._moments(kind, formalism), oracle, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_density_matrix_single_moments_are_exactly_positive_zero(self, kind):
+        # cond-surface groups its pairs by lambda_c * lambda_r on this premise: with <Q_c> and <Q_r>
+        # exactly +0.0, each conditional is a function of the product's bits
+        moments = conditional_module._moments(kind, Formalism.DENSITY_MATRIX)
+        assert np.array(moments[1:3]).tobytes() == bytes(16)  # the bits of (+0.0, +0.0), sign bit included
+
 
 class TestEntanglementAdvantage:
     def test_sharp_corner(self):

@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonclock
@@ -205,12 +205,14 @@ def test_small_runs_match_the_oracle(tmp_path_factory, command, fmt, grid_n, x_s
 # the writer on columns no command produces: repeats, signed zeros, extremes, ints, long bool runs
 def assert_writes_like_the_oracle(columns, fmt):
     """The writer's text is the oracle's; in JSON, the floats read back bit for bit, and inf or NaN
-    is refused at its first row in the first column that holds one, before any text is written."""
-    columns = [np.asarray(column) for column in columns]
+    is refused at its first row in the first column that holds one, before any text is written.
+    A factored column ``(values, index)`` is written as values[index]."""
+    columns = [column if isinstance(column, tuple) else np.asarray(column) for column in columns]
+    expanded = [_expanded(column) for column in columns]
     fieldnames = [f"c{index}" for index in range(len(columns))]
-    meta = [("rows", len(columns[0]))]
+    meta = [("rows", len(expanded[0]))]
     handle = io.BytesIO()
-    non_finite = [(name, int(np.argmin(np.isfinite(column)))) for name, column in zip(fieldnames, columns)
+    non_finite = [(name, int(np.argmin(np.isfinite(column)))) for name, column in zip(fieldnames, expanded)
                   if not np.isfinite(column).all()]
     if fmt == "json" and non_finite:
         name, row = non_finite[0]
@@ -219,31 +221,14 @@ def assert_writes_like_the_oracle(columns, fmt):
         assert handle.getvalue() == b""
         return
     cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
-    rows = zip(*(column.tolist() for column in columns))
+    rows = zip(*(column.tolist() for column in expanded))
     text = handle.getvalue().decode("utf-8")
     assert text == _render_dataset("test", meta, fieldnames, rows, fmt)
     if fmt == "json":
         rows = json.loads(text, parse_int=float)["rows"]
-        for name, column in zip(fieldnames, columns):
+        for name, column in zip(fieldnames, expanded):
             if column.dtype.kind == "f":
                 assert np.array([row[name] for row in rows], float).tobytes() == column.tobytes()
-
-
-def distinct_values(column):
-    """The values a one-column block of the whole column formats, or None when it formats every row."""
-    column = np.asarray(column)
-    groups = cli._row_groups([column])
-    return None if groups is None else column[groups[0]]
-
-
-def assert_groups_rebuild(columns):
-    """Each column is its group values gathered back through the inverse, bit for bit; returns the groups."""
-    groups = cli._row_groups(columns)
-    if groups is not None:
-        first, inverse = groups
-        for column in columns:
-            assert column[first][inverse].tobytes() == column.tobytes()
-    return groups
 
 
 FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -252,116 +237,126 @@ FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
 @FORMATS
 def test_negative_zero_stays_apart_from_zero(fmt):
     column = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1.0])
-    assert distinct_values(column).tobytes() == np.array([0.0, 1.0, -0.0]).tobytes()
     assert_writes_like_the_oracle([column, -column], fmt)
+
+
+EXTREMES = [5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
 
 
 @FORMATS
 def test_repeated_extremes(fmt):
-    values = [5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
-    column = np.repeat(values, 3)
-    assert distinct_values(column) is not None
+    column = np.repeat(EXTREMES, 3)
     assert_writes_like_the_oracle([column, column[::-1].copy()], fmt)
 
 
 @FORMATS
-@pytest.mark.parametrize("distinct, deduplicated", [(4, True), (5, False)], ids=["half", "half+1"])
-def test_half_distinct_is_the_threshold(fmt, distinct, deduplicated):
-    column = np.resize(np.arange(distinct) / 3.0, 8)
-    assert (distinct_values(column) is not None) == deduplicated
-    assert_writes_like_the_oracle([column], fmt)
+@pytest.mark.parametrize("distinct", [4, 5])
+def test_few_distinct_values_in_many_rows(fmt, distinct):
+    assert_writes_like_the_oracle([np.resize(np.arange(distinct) / 3.0, 8)], fmt)
 
 
 @FORMATS
 def test_repeats_across_block_edges(monkeypatch, fmt):
     monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
-    # blocks [a a b b] [b c d e] [e e]: deduplicated, formatted per value, then deduplicated again
+    # blocks [a a b b] [b c d e] [e e]: a value repeats within a block and across its edges
     column = np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
     assert_writes_like_the_oracle([column, column[::-1].copy(), column > 0.25], fmt)
 
 
 @FORMATS
 def test_a_tie_in_the_first_column_that_splits_in_another(fmt):
-    # rows (0.5, 0.1) and (0.5, 0.2) tie on the sorted column. However the sort orders the tie,
-    # at most 4 + 1 of the 12 rows start a group: the block is deduplicated, and each row keeps its cells
+    # rows (0.5, 0.1) and (0.5, 0.2) tie in the first column and differ in the second
     first = np.array([0.5] * 4 + [0.25] * 8)
     second = np.array([0.1, 0.2, 0.1, 0.2] + [0.3] * 8)
-    columns = [first, second, first + second]
-    assert 3 <= len(assert_groups_rebuild(columns)[0]) <= 5
-    assert_writes_like_the_oracle(columns, fmt)
+    assert_writes_like_the_oracle([first, second, first + second], fmt)
+
+
+# each column holds ±0.0 or NaNs that differ only in payload or sign
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64)
+DISTINCT_ROWS = np.array([
+    [0.0, NAN_PAYLOADS[0], -0.0],
+    [-0.0, NAN_PAYLOADS[1], 0.0],
+    [0.0, NAN_PAYLOADS[1], 0.0],
+    [NAN_PAYLOADS[0], -0.0, NAN_PAYLOADS[2]],
+    [NAN_PAYLOADS[2], 0.0, NAN_PAYLOADS[1]],
+])
 
 
 @FORMATS
 def test_signed_zeros_and_nan_payloads_repeat_only_as_whole_rows(fmt):
-    # each column holds ±0.0 or NaNs that differ only in payload or sign; only whole rows repeat
-    nan = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64)
-    distinct_rows = np.array([
-        [0.0, nan[0], -0.0],
-        [-0.0, nan[1], 0.0],
-        [0.0, nan[1], 0.0],
-        [nan[0], -0.0, nan[2]],
-        [nan[2], 0.0, nan[1]],
-    ])
-    rows = distinct_rows[np.random.default_rng(3).permutation(np.repeat(np.arange(5), 3))]
-    columns = [rows[:, index].copy() for index in range(3)]
-    assert len(assert_groups_rebuild(columns)[0]) == 5
+    rows = DISTINCT_ROWS[np.random.default_rng(3).permutation(np.repeat(np.arange(5), 3))]
+    assert_writes_like_the_oracle([rows[:, index].copy() for index in range(3)], fmt)
+
+
+# the same hostile values as factored columns, in blocks of 4 rows, so that an index gathers
+# a value in several blocks and across their edges
+HOSTILE = {
+    "signed-zeros": np.array([0.0, -0.0, 1.0]),
+    "extremes": np.array(EXTREMES),
+    "block-edges": np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+    "nan-payloads": np.concatenate([NAN_PAYLOADS, [0.0, -0.0]]),
+}
+
+
+@FORMATS
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_values_in_factored_columns(monkeypatch, fmt, name):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    values = HOSTILE[name]
+    index = np.random.default_rng(11).permutation(np.repeat(np.arange(values.size), 3))
+    reversed_index = index[::-1].copy()
+    columns = [(values, index), (values, reversed_index), values[index] * 0.5, (-values, index)]
     assert_writes_like_the_oracle(columns, fmt)
 
 
-def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size():
-    # the README-size op writes its three conditional columns through the row groups, not cell by cell
-    grid_n = 41
+@FORMATS
+def test_a_factored_value_no_row_gathers_is_never_written(monkeypatch, fmt):
+    # in JSON, an inf among the values is refused only when a row gathers it
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    values = np.array([0.25, np.inf, -0.0, np.nan])
+    assert_writes_like_the_oracle([(values, np.array([0, 2, 2, 0, 0, 2, 0]))], fmt)
+
+
+def test_a_factored_column_is_refused_at_the_first_row_that_gathers_an_inf(monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    columns = [np.arange(7.0), (np.array([1.0, np.inf, 2.0]), np.array([0, 2, 0, 2, 2, 1, 1]))]
+    with pytest.raises(NumericalIntegrityError, match=r"^column 'd', row 5: inf has no JSON text$"):
+        cli._write_rows(io.BytesIO(), "test", [], ["c", "d"], columns, "json")
+
+
+def _surface_columns(monkeypatch, grid_n):
+    """The columns cond-surface --grid-n hands the writer."""
+    seen = []
+    monkeypatch.setattr(cli, "_write_dataset", lambda command, meta, fields, columns, args: seen.append(columns))
+    assert main(["cond-surface", "--grid-n", str(grid_n)]) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 41, 150, 1024])
+def test_surface_conditionals_gather_the_full_grid_bit_for_bit(monkeypatch, grid_n):
+    # the factoring's oracle: the conditionals at every one of the grid_n**2 pairs
     grid = np.linspace(0.0, 1.0, grid_n)
     i, j = cli._divmod(np.arange(grid_n**2), grid_n)
     p_st, p_td = cli._conditional_columns(grid[i], grid[j], 1.0)
-    groups = assert_groups_rebuild([p_st, p_td, p_st - p_td])
-    assert groups is not None and 2 * len(groups[0]) <= grid_n**2
+    columns = _surface_columns(monkeypatch, grid_n)
+    for column, want in zip(columns, (grid[i], grid[j], p_st, p_td, p_st - p_td)):
+        assert isinstance(column, tuple)
+        assert _expanded(column).tobytes() == want.tobytes()
 
 
-def same_groups(got, want):
-    """Two _row_groups answers: both None, or the same arrays with the same dtypes."""
-    if got is None or want is None:
-        return got is want
-    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@st.composite
-def increasing_first_column(draw):
-    """A block whose first column strictly increases, with up to two more float columns of any values."""
-    first = sorted(draw(st.lists(st.floats(allow_nan=False), max_size=12, unique=True)))
-    others = st.lists(st.floats(), min_size=len(first), max_size=len(first))
-    return [np.array(first, float), *(np.array(column, float) for column in draw(st.lists(others, max_size=2)))]
-
-
-@settings(max_examples=200)
-@given(columns=increasing_first_column())
-@example(columns=[np.array([])])
-@example(columns=[np.array([0.5]), np.array([np.nan])])
-@example(columns=[np.array([-0.0, 1.0]), np.array([3.0, 3.0]), np.array([-0.0, -0.0])])
-def test_an_increasing_first_column_gives_the_sort_paths_answer(columns):
-    assert all(a < b for a, b in zip(columns[0].tolist(), columns[0].tolist()[1:]))
-    assert same_groups(cli._row_groups(columns), cli._sorted_row_groups(columns))
-
-
-@pytest.mark.parametrize("first, sorts", [
-    ([1.0, 2.0], False),
-    ([-0.0, 0.0], True),
-    ([0.0, -0.0], True),
-    ([1.0, np.nan, 2.0], True),
-    ([np.nan, np.nan], True),
-    ([1.0, 1.0], True),
-    ([2.0, 1.0], True),
-    ([], True),
-])
-def test_only_a_strictly_increasing_first_column_skips_the_sort(monkeypatch, first, sorts):
-    # -0.0 beside 0.0 and a NaN compare as no increase; zero rows, where the sort path
-    # gives empty groups rather than None, are sorted too
+def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size(monkeypatch):
+    # 1681 pairs, 572 distinct products; their 3 * 572 conditionals and the 2 * 41 grid values
+    # are formatted by one _float_cells call
+    columns = _surface_columns(monkeypatch, 41)
+    assert [column[0].size for column in columns] == [41, 41, 572, 572, 572]
+    assert columns[2][1] is columns[3][1] is columns[4][1]
+    monkeypatch.undo()
     calls = []
-    real = cli._sorted_row_groups
-    monkeypatch.setattr(cli, "_sorted_row_groups", lambda columns: calls.append(columns) or real(columns))
-    columns = [np.array(first, float), np.zeros(len(first))]
-    assert same_groups(cli._row_groups(columns), real(columns))
-    assert len(calls) == sorts
+    real = cli._float_cells
+    monkeypatch.setattr(cli, "_float_cells", lambda values: calls.append(values.size) or real(values))
+    for fmt in ("csv", "json"):
+        assert main(["cond-surface", "--grid-n", "41", "--format", fmt, "--out", os.devnull]) == 0
+    assert calls == [41 + 41 + 3 * 572] * 2
 
 
 @FORMATS
@@ -378,8 +373,6 @@ def test_long_bool_column(fmt):
 @FORMATS
 def test_int_columns(fmt):
     repeated = np.array([4, 4, 4, 11, 11, -3, -3, 2**62], dtype=np.int64)
-    assert sorted(distinct_values(repeated).tolist()) == [-3, 4, 11, 2**62]
-    assert distinct_values(np.arange(8)) is None
     assert_writes_like_the_oracle([repeated, np.arange(8), repeated * 0.5], fmt)
 
 
