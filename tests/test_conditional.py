@@ -30,6 +30,8 @@ from photonclock.conditional import PANELS
 from photonclock.dynamics import product_state_phase
 from photonclock.qstate import ket, projector, tensor_product, trace_of_product
 
+import oracles
+
 UNIT = ClockSpec(1.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -122,52 +124,12 @@ class TestSharpConditionals:
 
 
 class TestUnsharpConditionals:
-    def test_frozen_example(self):
-        pair = SharpnessPair(0.8, 0.5)
-        st_query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair)
-        td_query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
-        assert conditional_probability(st_query, UNIT) == pytest.approx(0.7, abs=1e-10)
-        assert conditional_probability(td_query, UNIT) == pytest.approx(0.6, abs=1e-10)
-
-    def test_fully_smeared_clock_erases_the_difference(self):
-        pair = SharpnessPair(0.0, 0.9)
-        st_query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair)
-        td_query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
-        a = conditional_probability(st_query, UNIT)
-        b = conditional_probability(td_query, UNIT)
-        assert a == pytest.approx(0.5, abs=1e-12)
-        assert b == pytest.approx(0.5, abs=1e-12)
-
-    @given(sharpness, sharpness)
-    def test_closed_forms(self, lc, lr):
-        pair = SharpnessPair(lc, lr)
-        product = lc * lr
-        st_query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair)
-        td_query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
-        assert conditional_probability(st_query, UNIT) == pytest.approx(
-            (1.0 + product) / 2.0, abs=1e-10
-        )
-        assert conditional_probability(td_query, UNIT) == pytest.approx(
-            (2.0 + product) / 4.0, abs=1e-10
-        )
-
-    @given(sharpness, sharpness)
-    def test_probabilities_stay_in_unit_interval(self, lc, lr):
-        pair = SharpnessPair(lc, lr)
-        for kind in StateKind:
-            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair)
-            p = conditional_probability(query, UNIT)
-            assert -1e-12 <= p <= 1.0 + 1e-12
-
     def test_formalisms_agree_on_a_grid(self):
         grid = np.linspace(0.0, 1.0, 11)
         for lc, lr in itertools.product(grid, grid):
             pair = SharpnessPair(float(lc), float(lr))
-            closed = {
-                StateKind.STATIONARY: (1.0 + lc * lr) / 2.0,
-                StateKind.TIME_DEPENDENT: (2.0 + lc * lr) / 4.0,
-            }
             for kind in StateKind:
+                closed = oracles.conditional(kind.value, lc * lr)
                 amp = conditional_probability(
                     ConditionalQuery(
                         kind, MeasurementKind.UNSHARP, pair, Formalism.AMPLITUDE
@@ -180,10 +142,9 @@ class TestUnsharpConditionals:
                     ),
                     UNIT,
                 )
-                assert abs(amp - dm) <= 1e-12
                 # the trapezoid rule is exact here, so only roundoff remains
-                assert abs(amp - closed[kind]) <= 1e-15
-                assert abs(dm - closed[kind]) <= 1e-15
+                assert abs(amp - closed) <= 1e-15
+                assert abs(dm - closed) <= 1e-15
 
     @given(sharpness, sharpness)
     def test_moment_form_matches_the_per_effect_ratio(self, lc, lr):
@@ -255,8 +216,7 @@ class TestUnsharpConditionals:
                 p = conditional_probability(ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism), UNIT)
                 assert abs(p - oracle) <= 1e-12
                 if panels < 4096:  # exact at a modest count; the dense sum's own roundoff comes near 1e-15
-                    closed = (1.0 + lc * lr) / 2.0 if kind is StateKind.STATIONARY else (2.0 + lc * lr) / 4.0
-                    assert abs(oracle - closed) <= 1e-15
+                    assert abs(oracle - oracles.conditional(kind.value, lc * lr)) <= 1e-15
 
     @pytest.mark.usefixtures("fresh_moments")
     def test_degenerate_conditioning_raises(self, monkeypatch):
@@ -303,28 +263,3 @@ class TestMomentsCache:
         # exactly +0.0, each conditional is a function of the product's bits
         moments = conditional_module._moments(kind, Formalism.DENSITY_MATRIX)
         assert np.array(moments[1:3]).tobytes() == bytes(16)  # the bits of (+0.0, +0.0), sign bit included
-
-
-class TestEntanglementAdvantage:
-    def test_sharp_corner(self):
-        assert entanglement_advantage(SharpnessPair(1.0, 1.0), UNIT) == pytest.approx(
-            0.25, abs=1e-10
-        )
-
-    def test_frozen_example(self):
-        assert entanglement_advantage(SharpnessPair(0.8, 0.5), UNIT) == pytest.approx(
-            0.1, abs=1e-10
-        )
-
-    def test_vanishes_when_either_side_is_blind(self):
-        assert abs(entanglement_advantage(SharpnessPair(0.0, 0.7), UNIT)) <= 1e-12
-        assert abs(entanglement_advantage(SharpnessPair(0.7, 0.0), UNIT)) <= 1e-12
-
-    @given(sharpness, sharpness)
-    def test_quarter_product_rule(self, lc, lr):
-        adv = entanglement_advantage(SharpnessPair(lc, lr), UNIT)
-        assert adv == pytest.approx(lc * lr / 4.0, abs=1e-10)
-
-    @given(sharpness, sharpness)
-    def test_never_negative(self, lc, lr):
-        assert entanglement_advantage(SharpnessPair(lc, lr), UNIT) >= -1e-12

@@ -42,6 +42,8 @@ from photonclock import (
 )
 from photonclock.dynamics import MAX_NORM_TIME
 
+import oracles
+
 MAX = sys.float_info.max
 EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, MAX, -MAX, math.inf, -math.inf, math.nan]
 # every double, with its edges drawn often
@@ -147,6 +149,10 @@ class TestConditionals:
     @example(5e-324, 5e-324, MAX, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.AMPLITUDE)
     @example(1.0, -0.0, 5e-324, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)
     @example(math.nan, 0.5, 1.0, StateKind.STATIONARY, MeasurementKind.SHARP, Formalism.DENSITY_MATRIX)
+    @example(0.8, 0.5, 1.0, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.7
+    @example(0.8, 0.5, 1.0, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.6
+    @example(0.0, 0.9, 1.0, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.5
+    @example(0.0, 0.9, 1.0, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.5
     def test_conditional_probability(self, lam_c, lam_r, omega, kind, measurement, formalism):
         with strict():
             pair, spec = pair_or_refusal(lam_c, lam_r), clock_or_refusal(omega)
@@ -154,20 +160,23 @@ class TestConditionals:
                 return
             value = conditional_probability(ConditionalQuery(kind, measurement, pair, formalism), spec)
         product = 1.0 if measurement is MeasurementKind.SHARP else lam_c * lam_r
-        closed = (1.0 + product) / 2.0 if kind is StateKind.STATIONARY else (2.0 + product) / 4.0
-        assert type(value) is float and abs(value - closed) <= CONDITIONAL_TOL
+        assert type(value) is float and abs(value - oracles.conditional(kind.value, product)) <= CONDITIONAL_TOL
 
     @given(any_sharpness, any_sharpness, any_omega)
     @example(1.0, 1.0, MAX)
     @example(5e-324, 1.0, 5e-324)
     @example(1.0, 1.0 + 2**-52, 1.0)
+    @example(1.0, 1.0, 1.0)  # 0.25
+    @example(0.8, 0.5, 1.0)  # 0.1
+    @example(0.0, 0.7, 1.0)
+    @example(0.7, 0.0, 1.0)
     def test_entanglement_advantage(self, lam_c, lam_r, omega):
         with strict():
             pair, spec = pair_or_refusal(lam_c, lam_r), clock_or_refusal(omega)
             if pair is None or spec is None:
                 return
             value = entanglement_advantage(pair, spec)
-        assert type(value) is float and abs(value - lam_c * lam_r / 4.0) <= 2 * CONDITIONAL_TOL
+        assert type(value) is float and abs(value - oracles.advantage(lam_c * lam_r)) <= 2 * CONDITIONAL_TOL
 
 
 class TestCounts:

@@ -1,6 +1,5 @@
 """Sequential statistics and the four-time Leggett-Garg combination."""
 
-import decimal
 import itertools
 import math
 import sys
@@ -31,8 +30,11 @@ from photonclock import (
     unsharp_effects,
     violates_classical_bound,
 )
-from photonclock.lgi import X_MAX, _correlator, _joint_table
+from photonclock.lgi import X_MAX, _joint_table
 from photonclock.qstate import ket, projector
+
+import oracles
+from oracles import CLOSED_FORM_SLACK, exact_combination
 
 UNIT = ClockSpec(1.0)
 
@@ -41,13 +43,6 @@ UNIT = ClockSpec(1.0)
 # inside (0, 1) is c = (sqrt(3) - 1)/2.
 X_CROSSING = math.acos((math.sqrt(3.0) - 1.0) / 2.0) / 2.0
 
-# How far the closed form c (6 - 4c^2), c = cos(2x), may round from 3 cos(2x) - cos(6x), with
-# u = 2**-53. 2x and 4c^2 = 4 fl(c c) are exact. cos returns c within 1 ulp, at most u for
-# |c| <= 1, and the cubic scales that by |6 - 12c^2| <= 6; fl(c c) is off by c^2 u, which the
-# cubic carries as 4|c|^3 u <= 4u; fl(6 - 4c^2) and the last product are each off by u of
-# the result, |6c - 4c^3| <= 2 sqrt(2). In all (6 + 4 + 4 sqrt(2)) u = 15.7 u, plus terms in
-# u^2, under 16 u: four ulps of 2 sqrt(2), whose spacing is 4 u.
-CLOSED_FORM_SLACK = 16 * 2.0**-53
 QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 # the largest |x| whose 2x is finite, lgi_functional's and lgi_maximize's domain
 X_TOP = sys.float_info.max / 2.0
@@ -91,13 +86,6 @@ def kernel_table(init, t1, t2, omega):
     """The kernel at the cosines and sines of the phases omega*t1 and omega*(t2 - t1)."""
     first, gap = omega * t1, omega * (t2 - t1)
     return _joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap))
-
-
-def general_schedule_engine(x, omega, init):
-    """The combination from the kernel fed every pair of the schedule outer(arange(4), dt), as lgi_value pairs them."""
-    times = np.multiply.outer(np.arange(4.0), np.divide(x, omega))
-    c12, c23, c34, c14 = _correlator(kernel_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], omega))
-    return c12 + c23 + c34 - c14
 
 
 def scalar_chain(init, outcome1, t1, outcome2, t2, spec):
@@ -161,18 +149,9 @@ class TestJointProbability:
 
     @given(first_times, gaps)
     def test_markov_factorization(self, t1, gap):
-        t2 = t1 + gap
-        c1 = np.cos(t1) ** 2
-        cg, sg = np.cos(gap) ** 2, np.sin(gap) ** 2
-        expected = {
-            (Outcome.H, Outcome.H): c1 * cg,
-            (Outcome.H, Outcome.V): c1 * sg,
-            (Outcome.V, Outcome.H): (1.0 - c1) * sg,
-            (Outcome.V, Outcome.V): (1.0 - c1) * cg,
-        }
-        for (o1, o2), target in expected.items():
-            p = joint_two_time_probability(InitialCondition.START_H, o1, t1, o2, t2, UNIT)
-            assert p == pytest.approx(target, abs=1e-12)
+        for o1, o2 in itertools.product(Outcome, Outcome):
+            p = joint_two_time_probability(InitialCondition.START_H, o1, t1, o2, t1 + gap, UNIT)
+            assert p == pytest.approx(oracles.joint_probability(t1, gap, o1 is Outcome.H, o2 is o1), abs=1e-12)
 
     @given(first_times, gaps, st.floats(min_value=0.1, max_value=5.0), preparations)
     def test_outcomes_sum_to_one(self, t1, gap, omega, init):
@@ -207,7 +186,7 @@ class TestCorrelator:
         a = two_time_correlator(t1, t1 + gap, UNIT)
         b = two_time_correlator(0.0, gap, UNIT)
         assert a == pytest.approx(b, abs=1e-12)
-        assert a == pytest.approx(np.cos(2.0 * gap), abs=1e-12)
+        assert a == pytest.approx(oracles.correlator(gap), abs=1e-12)
 
     @given(first_times, gaps)
     def test_independent_of_preparation(self, t1, gap):
@@ -244,66 +223,7 @@ class TestClosedFormFunctional:
         assert lgi_functional(x) <= QUANTUM_BOUND + CLOSED_FORM_SLACK
 
 
-def decimal_pi():
-    """pi to the current precision: the pi() recipe of the decimal module's documentation."""
-    decimal.getcontext().prec += 2
-    three = Decimal(3)
-    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
-    while s != lasts:
-        lasts = s
-        n, na = n + na, na + 8
-        d, da = d + da, da + 32
-        t = (t * n) / d
-        s += t
-    decimal.getcontext().prec -= 2
-    return +s
-
-
-def decimal_cos(x):
-    """cos(x) to the current precision by its Taylor series: the cos() recipe of the decimal
-    module's documentation, for an argument already reduced to |x| <= pi."""
-    decimal.getcontext().prec += 2
-    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
-    while s != lasts:
-        lasts = s
-        i += 2
-        fact *= i * (i - 1)
-        num *= x * x
-        sign *= -1
-        s += num / fact * sign
-    decimal.getcontext().prec -= 2
-    return +s
-
-
-# Reducing an argument y modulo 2 pi loses the digits of its quotient, up to 309 for 6x near
-# 6 * max / 2, so pi is held to 400 digits and the reduction runs at 400: the remainder is
-# then off by under 1e308 * 1e-399, and its cosine is summed at 40 digits, 24 past a double's.
-with decimal.localcontext() as _ctx:
-    _ctx.prec = 400
-    DECIMAL_TWO_PI = 2 * decimal_pi()
-
-
-def exact_combination(x: float) -> Decimal:
-    """3 cos(2x) - cos(6x) at the double x to about 40 digits, with 2x and 6x taken exactly:
-    the physics form, so the oracle also checks the triple-angle identity."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 400
-        reduced = [(k * Decimal(x)).remainder_near(DECIMAL_TWO_PI) for k in (2, 6)]
-        ctx.prec = 40
-        cos_2x, cos_6x = (decimal_cos(+r) for r in reduced)
-        return 3 * cos_2x - cos_6x
-
-
 class TestDecimalOracle:
-    def test_recipes_reproduce_known_values(self):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            assert float(decimal_pi()) == math.pi
-            assert str(+DECIMAL_TWO_PI)[:22] == "6.28318530717958647692"
-            assert float(decimal_cos(+DECIMAL_TWO_PI / 6)) == 0.5
-        assert exact_combination(0.0) == 2
-        assert float(exact_combination(math.pi / 8)) == QUANTUM_BOUND
-
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(
         st.floats(0.0, math.pi),
@@ -321,15 +241,12 @@ class TestDecimalOracle:
 
 
 class TestEngineAgreement:
-    def test_engine_matches_closed_form_on_dense_grid(self):
-        xs = np.linspace(0.0, np.pi, 102)[1:]
-        for x in xs:
-            assert abs(lgi_functional_engine(float(x)) - lgi_functional(float(x))) <= 1e-12
-
     def test_engine_independent_of_frequency(self):
-        # dimensionless input, dimensionless output
-        x = 0.713
-        assert lgi_functional_engine(x) == lgi_functional_engine(x, ClockSpec(1.0))
+        # dimensionless input, dimensionless output: only the phase x enters, whatever the clock
+        xs = np.linspace(0.0, np.pi, 4097)[1:]
+        unit = lgi_functional_engine(xs)
+        for omega in (1e-3, 5.21, 1e3):
+            assert np.max(np.abs(lgi_functional_engine(xs, ClockSpec(omega)) - unit)) <= 1e-12
 
     @given(phase_gaps)
     def test_engine_independent_of_preparation(self, x):
@@ -337,30 +254,19 @@ class TestEngineAgreement:
         b = lgi_functional_engine(x, init=InitialCondition.START_V)
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_unequal_schedule_sums_pair_correlators(self):
-        spec = ClockSpec(1.3)
-        sched = LgiSchedule(0.1, 0.6, 0.9, 2.0)
-        t1, t2, t3, t4 = sched.times
-        expected = (
-            np.cos(2 * spec.omega * (t2 - t1))
-            + np.cos(2 * spec.omega * (t3 - t2))
-            + np.cos(2 * spec.omega * (t4 - t3))
-            - np.cos(2 * spec.omega * (t4 - t1))
-        )
-        assert lgi_value(sched, spec) == pytest.approx(expected, abs=1e-12)
-
 
 class TestBatchedKernel:
     """The batched kernel against the scalar chain it replaced and the closed forms."""
 
     @given(st.lists(engine_gaps, min_size=1, max_size=16), preparations)
+    @example(np.linspace(0.0, np.pi, 102)[1:].tolist(), InitialCondition.START_H)
     def test_engine_on_an_array_matches_scalar_calls_and_closed_form(self, gaps, init):
         xs = np.array(gaps)
         batched = lgi_functional_engine(xs, init=init)
         assert isinstance(batched, np.ndarray) and batched.shape == xs.shape
         scalar = np.array([lgi_functional_engine(x, init=init) for x in gaps])
         assert np.max(np.abs(batched - scalar)) <= 1e-15
-        assert np.max(np.abs(batched - lgi_functional(xs))) <= 1e-12
+        assert np.max(np.abs(np.stack([batched, scalar]) - lgi_functional(xs))) <= 1e-12
 
     @pytest.mark.parametrize("init", list(InitialCondition))
     def test_joint_table_matches_scalar_chain(self, init):
@@ -429,38 +335,35 @@ class TestBatchedKernel:
                 assert np.max(np.abs(table[o1.index][o2.index] - squared)) <= 1e-14
 
     @given(first_times, gaps, gaps, gaps, st.floats(min_value=0.1, max_value=10.0), preparations)
+    @example(0.1, 0.5, 0.9 - 0.6, 2.0 - 0.9, 1.3, InitialCondition.START_H)  # the schedule 0.1, 0.6, 0.9, 2.0
     def test_unequal_schedules_sum_pair_correlators(self, t1, g1, g2, g3, omega, init):
-        spec = ClockSpec(omega)
         t2, t3 = t1 + g1, t1 + g1 + g2
-        t4 = t3 + g3
-        expected = (
-            math.cos(2 * omega * (t2 - t1))
-            + math.cos(2 * omega * (t3 - t2))
-            + math.cos(2 * omega * (t4 - t3))
-            - math.cos(2 * omega * (t4 - t1))
-        )
-        assert lgi_value(LgiSchedule(t1, t2, t3, t4), spec, init) == pytest.approx(expected, abs=1e-12)
+        times = (t1, t2, t3, t3 + g3)
+        closed = oracles.schedule_sum(times, omega)
+        assert lgi_value(LgiSchedule(*times), ClockSpec(omega), init) == pytest.approx(closed, abs=1e-12)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=X_MAX, exclude_min=True), min_size=1, max_size=16),
            st.floats(min_value=1e-3, max_value=1e3), preparations)
     @example([5e-324, 1e-310, 2.2250738585072014e-308, X_MAX], 1e-3, InitialCondition.START_H)
     @example([5e-324, X_MAX], 1.0, InitialCondition.START_V)
     @example([X_MAX], 1e3, InitialCondition.START_V)
-    def test_engine_is_the_kernel_on_the_whole_schedule_bit_for_bit(self, gaps, omega, init):
-        # the engine evaluates each distinct phase once; the general path evaluates both phases of every pair
-        assume(all(x / omega > 0.0 for x in gaps))
-        xs = np.array(gaps)
-        engine = lgi_functional_engine(xs, ClockSpec(omega), init)
-        assert np.array_equal(engine, general_schedule_engine(xs, omega, init))
-
-    @given(st.floats(min_value=1e-6, max_value=X_MAX / 2.0), st.floats(min_value=1e-3, max_value=1e3), preparations)
-    def test_engine_is_lgi_value_on_the_equal_schedule_bit_for_bit(self, x, omega, init):
+    def test_engine_is_lgi_value_on_the_equal_schedule_bit_for_bit(self, gaps, omega, init):
         # the public schedule route: 2 dt - dt is dt exactly, and the pairs that start at
         # t = 0.0 take cos 0 = 1 and sin 0 = 0, the engine's constants
-        dt = x / omega
+        assume(all(x / omega > 0.0 for x in gaps))
         spec = ClockSpec(omega)
-        route = lgi_value(LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt), spec, init)
-        assert route.hex() == lgi_functional_engine(x, spec, init).hex()
+        engine = lgi_functional_engine(np.array(gaps), spec, init)
+        for x, value in zip(gaps, engine.tolist()):
+            dt = x / omega
+            schedule = LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt)
+            if omega * schedule.t4 > 3.0 * X_MAX:
+                # at x = X_MAX itself, omega (3 x / omega) rounds past lgi_value's bound for about one
+                # omega in five (7.0 among them); the engine bounds x, not that product
+                assert x == X_MAX
+                with pytest.raises(ValueError, match=r"omega \* t4 <= 3 \* X_MAX"):
+                    lgi_value(schedule, spec, init)
+                continue
+            assert lgi_value(schedule, spec, init).hex() == value.hex(), x
 
     def test_schedule_before_preparation_rejected(self):
         with pytest.raises(ValueError):
@@ -528,13 +431,10 @@ class TestTimeDomain:
                 with pytest.raises(ValueError):
                     joint_two_time_probability(init, Outcome.H, t1, Outcome.H, t2, spec)
                 return
-            # cos^2 and sin^2 of each phase, as (1 +- cos 2 phase) / 2
-            first, transfer = math.cos(2.0 * (omega * t1)), math.cos(2.0 * (omega * (t2 - t1)))
             prepared = Outcome.H if init is InitialCondition.START_H else Outcome.V
             for o1 in Outcome:
                 for o2 in Outcome:
-                    closed = (1.0 + (first if o1 is prepared else -first)) / 2.0
-                    closed *= (1.0 + (transfer if o2 is o1 else -transfer)) / 2.0
+                    closed = oracles.joint_probability(omega * t1, omega * (t2 - t1), o1 is prepared, o2 is o1)
                     assert abs(joint_two_time_probability(init, o1, t1, o2, t2, spec) - closed) <= 1e-10
 
     @given(any_times, any_times, any_frequencies, preparations)
@@ -548,7 +448,7 @@ class TestTimeDomain:
                 with pytest.raises(ValueError):
                     two_time_correlator(t1, t2, spec, init)
                 return
-            closed = math.cos(2.0 * (omega * (t2 - t1)))
+            closed = oracles.correlator(omega * (t2 - t1))
             assert abs(two_time_correlator(t1, t2, spec, init) - closed) <= 1e-10
 
     @settings(max_examples=400)  # about one draw in ten lands inside
@@ -564,9 +464,7 @@ class TestTimeDomain:
                 with pytest.raises(ValueError):
                     lgi_value(LgiSchedule(*times), spec, init)
                 return
-            t1, t2, t3, t4 = times
-            pairs = ((t1, t2, 1.0), (t2, t3, 1.0), (t3, t4, 1.0), (t1, t4, -1.0))
-            closed = sum(sign * math.cos(2.0 * (omega * (b - a))) for a, b, sign in pairs)
+            closed = oracles.schedule_sum(times, omega)
             assert abs(lgi_value(LgiSchedule(*times), spec, init) - closed) <= 1e-10
 
 

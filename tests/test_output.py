@@ -71,13 +71,24 @@ def oracle(monkeypatch):
     return _record_oracle(monkeypatch)
 
 
+def assert_same_text(text: str, expected: str):
+    """text == expected; a mismatch fails naming the first line that differs, where pytest's own
+    diff of two whole datasets would run for minutes."""
+    if text != expected:
+        lines, wanted = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+        pairs = enumerate(zip(lines, wanted))
+        line = next((i for i, (ours, theirs) in pairs if ours != theirs), min(len(lines), len(wanted)))
+        pytest.fail(f"texts differ first at line {line + 1}: {lines[line:line + 1]} vs {wanted[line:line + 1]}; "
+                    f"lengths {len(text)} vs {len(expected)} characters", pytrace=False)
+
+
 def assert_matches_oracle(capsys, oracle, argv, out_file):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert main(argv + ["--out", str(out_file)]) == 0
-    assert oracle[0] == oracle[1]
-    assert stdout == oracle[0]
-    assert out_file.read_bytes() == oracle[0].encode("utf-8")
+    assert_same_text(oracle[1], oracle[0])
+    assert_same_text(stdout, oracle[0])
+    assert_same_text(out_file.read_bytes().decode("utf-8"), oracle[0])
     oracle.clear()
 
 
@@ -199,7 +210,7 @@ def test_small_runs_match_the_oracle(tmp_path_factory, command, fmt, grid_n, x_s
             argv += ["--grid-n", str(grid_n)]
         out_file = tmp_path_factory.mktemp("run") / "data"
         assert main(argv + ["--out", str(out_file)]) == 0
-        assert out_file.read_bytes() == seen[0].encode("utf-8")
+        assert_same_text(out_file.read_bytes().decode("utf-8"), seen[0])
 
 
 # the writer on columns no command produces: repeats, signed zeros, extremes, ints, long bool runs
@@ -223,7 +234,7 @@ def assert_writes_like_the_oracle(columns, fmt):
     cli._write_rows(handle, "test", meta, fieldnames, columns, fmt)
     rows = zip(*(column.tolist() for column in expanded))
     text = handle.getvalue().decode("utf-8")
-    assert text == _render_dataset("test", meta, fieldnames, rows, fmt)
+    assert_same_text(text, _render_dataset("test", meta, fieldnames, rows, fmt))
     if fmt == "json":
         rows = json.loads(text, parse_int=float)["rows"]
         for name, column in zip(fieldnames, expanded):
