@@ -555,6 +555,14 @@ class TestSummaryCommands:
 
 
 class TestFilesAndDeterminism:
+    def test_file_output_matches_stdout(self, capsys, tmp_path):
+        rc, out, _ = run_to_text(capsys, ["lgi-scan", "--x-steps", "8"])
+        assert rc == 0
+        target = tmp_path / "scan.csv"
+        assert main(["lgi-scan", "--x-steps", "8", "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_text(encoding="utf-8") == out
+
     def test_unix_line_endings(self, tmp_path, capsys):
         target = tmp_path / "scan.csv"
         assert main(["lgi-scan", "--x-steps", "8", "--out", str(target)]) == 0

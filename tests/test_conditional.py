@@ -124,6 +124,39 @@ class TestSharpConditionals:
 
 
 class TestUnsharpConditionals:
+    def test_frozen_example(self):
+        pair = SharpnessPair(0.8, 0.5)
+        st_query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair)
+        td_query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
+        assert conditional_probability(st_query, UNIT) == pytest.approx(0.7, abs=1e-10)
+        assert conditional_probability(td_query, UNIT) == pytest.approx(0.6, abs=1e-10)
+
+    def test_fully_smeared_clock_erases_the_difference(self):
+        pair = SharpnessPair(0.0, 0.9)
+        st_query = ConditionalQuery(StateKind.STATIONARY, MeasurementKind.UNSHARP, pair)
+        td_query = ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, pair)
+        a = conditional_probability(st_query, UNIT)
+        b = conditional_probability(td_query, UNIT)
+        assert a == pytest.approx(0.5, abs=1e-12)
+        assert b == pytest.approx(0.5, abs=1e-12)
+
+    @given(sharpness, sharpness)
+    def test_closed_forms(self, lc, lr):
+        pair = SharpnessPair(lc, lr)
+        for kind in StateKind:
+            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair)
+            assert conditional_probability(query, UNIT) == pytest.approx(
+                oracles.conditional(kind.value, lc * lr), abs=1e-10
+            )
+
+    @given(sharpness, sharpness)
+    def test_probabilities_stay_in_unit_interval(self, lc, lr):
+        pair = SharpnessPair(lc, lr)
+        for kind in StateKind:
+            query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair)
+            p = conditional_probability(query, UNIT)
+            assert -1e-12 <= p <= 1.0 + 1e-12
+
     def test_formalisms_agree_on_a_grid(self):
         grid = np.linspace(0.0, 1.0, 11)
         for lc, lr in itertools.product(grid, grid):
@@ -263,3 +296,28 @@ class TestMomentsCache:
         # exactly +0.0, each conditional is a function of the product's bits
         moments = conditional_module._moments(kind, Formalism.DENSITY_MATRIX)
         assert np.array(moments[1:3]).tobytes() == bytes(16)  # the bits of (+0.0, +0.0), sign bit included
+
+
+class TestEntanglementAdvantage:
+    def test_sharp_corner(self):
+        assert entanglement_advantage(SharpnessPair(1.0, 1.0), UNIT) == pytest.approx(
+            0.25, abs=1e-10
+        )
+
+    def test_frozen_example(self):
+        assert entanglement_advantage(SharpnessPair(0.8, 0.5), UNIT) == pytest.approx(
+            0.1, abs=1e-10
+        )
+
+    def test_vanishes_when_either_side_is_blind(self):
+        assert abs(entanglement_advantage(SharpnessPair(0.0, 0.7), UNIT)) <= 1e-12
+        assert abs(entanglement_advantage(SharpnessPair(0.7, 0.0), UNIT)) <= 1e-12
+
+    @given(sharpness, sharpness)
+    def test_quarter_product_rule(self, lc, lr):
+        adv = entanglement_advantage(SharpnessPair(lc, lr), UNIT)
+        assert adv == pytest.approx(oracles.advantage(lc * lr), abs=1e-10)
+
+    @given(sharpness, sharpness)
+    def test_never_negative(self, lc, lr):
+        assert entanglement_advantage(SharpnessPair(lc, lr), UNIT) >= -1e-12

@@ -149,10 +149,6 @@ class TestConditionals:
     @example(5e-324, 5e-324, MAX, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.AMPLITUDE)
     @example(1.0, -0.0, 5e-324, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)
     @example(math.nan, 0.5, 1.0, StateKind.STATIONARY, MeasurementKind.SHARP, Formalism.DENSITY_MATRIX)
-    @example(0.8, 0.5, 1.0, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.7
-    @example(0.8, 0.5, 1.0, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.6
-    @example(0.0, 0.9, 1.0, StateKind.STATIONARY, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.5
-    @example(0.0, 0.9, 1.0, StateKind.TIME_DEPENDENT, MeasurementKind.UNSHARP, Formalism.DENSITY_MATRIX)  # 0.5
     def test_conditional_probability(self, lam_c, lam_r, omega, kind, measurement, formalism):
         with strict():
             pair, spec = pair_or_refusal(lam_c, lam_r), clock_or_refusal(omega)
@@ -166,10 +162,6 @@ class TestConditionals:
     @example(1.0, 1.0, MAX)
     @example(5e-324, 1.0, 5e-324)
     @example(1.0, 1.0 + 2**-52, 1.0)
-    @example(1.0, 1.0, 1.0)  # 0.25
-    @example(0.8, 0.5, 1.0)  # 0.1
-    @example(0.0, 0.7, 1.0)
-    @example(0.7, 0.0, 1.0)
     def test_entanglement_advantage(self, lam_c, lam_r, omega):
         with strict():
             pair, spec = pair_or_refusal(lam_c, lam_r), clock_or_refusal(omega)
