@@ -47,10 +47,9 @@ from .measurement import NULL_PROBABILITY, Outcome
 CLASSICAL_BOUND = 2.0
 
 # the engine's domain: past X_MAX its schedule times k*x/omega round at
-# ulp(3x), and its deviation from the closed form grows with x (9.3e-10 on [1e5, 1e6])
+# ulp(3x), and its deviation from the closed form grows with x (9.3e-10 on [1e5, 1e6]);
+# its last time 3 * (x / omega) bounds every schedule route: 0 <= start < end <= 3 * (X_MAX / omega)
 X_MAX = 1e4
-# the largest phase omega*t the engine evaluates, at t4 = 3 dt; the domain of every time
-_MAX_PHASE = 3.0 * X_MAX
 # the engine's default clock: the combination is dimensionless
 _UNIT_CLOCK = ClockSpec(1.0)
 
@@ -106,14 +105,16 @@ def _correlator(table):
     return hh - hv - vh + vv
 
 
-def _pair_table(init: InitialCondition, t1: float, t2: float, spec: ClockSpec):
-    """The joint table at two times, inside the domain 0 <= t1 < t2 <= 3 X_MAX / omega."""
-    t1, t2 = float(t1), float(t2)
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 <= t1 < t2):
-        raise ValueError("need 0 <= t1 < t2")
-    if not spec.omega * t2 <= _MAX_PHASE:
-        raise ValueError(f"need omega * t2 <= 3 * X_MAX = {_MAX_PHASE:g}, the largest phase the engine evaluates")
-    first, gap = spec.omega * t1, spec.omega * (t2 - t1)
+def _pairs_table(init: InitialCondition, start, end, spec: ClockSpec):
+    """The joint table at each pair of times, which must satisfy 0 <= start < end <= 3 * (X_MAX / omega).
+
+    That bound is the engine's last time 3 * (x / omega) at x = X_MAX, rounded the same way, so
+    every schedule the engine evaluates is inside it; start and end broadcast together.
+    """
+    bound = 3.0 * (X_MAX / float(spec.omega))  # inf, never an overflow warning, when omega is tiny
+    if not (np.isfinite(end) & (0.0 <= start) & (start < end) & (end <= bound)).all():  # a NaN fails too
+        raise ValueError(f"need times 0 <= start < end <= 3 * (X_MAX / omega) = {bound!r}, with end finite")
+    first, gap = spec.omega * start, spec.omega * (end - start)
     return _joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap))
 
 
@@ -127,10 +128,10 @@ def joint_two_time_probability(
 ) -> float:
     """P(outcome1 at t1 and outcome2 at t2) under sharp sequential readout.
 
-    Domain: 0 <= t1 < t2 with omega * t2 <= 3 * X_MAX, the largest phase the
-    engine evaluates; anything else raises ValueError.
+    Domain: 0 <= t1 < t2 <= 3 * (X_MAX / omega), the engine's last time at
+    x = X_MAX; anything else raises ValueError.
     """
-    return float(_pair_table(init, t1, t2, spec)[outcome1.index][outcome2.index])
+    return float(_pairs_table(init, float(t1), float(t2), spec)[outcome1.index][outcome2.index])
 
 
 def two_time_correlator(
@@ -139,10 +140,10 @@ def two_time_correlator(
     """<Q(t1) Q(t2)> from the four sequential joint probabilities.
 
     Collapses to cos(2*omega*(t2 - t1)): independent of t1 and of the
-    preparation. Domain: 0 <= t1 < t2 with omega * t2 <= 3 * X_MAX, the
-    largest phase the engine evaluates; anything else raises ValueError.
+    preparation. Domain: 0 <= t1 < t2 <= 3 * (X_MAX / omega), the engine's
+    last time at x = X_MAX; anything else raises ValueError.
     """
-    return float(_correlator(_pair_table(init, t1, t2, spec)))
+    return float(_correlator(_pairs_table(init, float(t1), float(t2), spec)))
 
 
 def lgi_value(
@@ -150,17 +151,12 @@ def lgi_value(
 ) -> float:
     """C12 + C23 + C34 - C14 over an arbitrary schedule, via the sequential engine.
 
-    Domain: a schedule that starts at t1 >= 0 and ends at omega * t4 <= 3 * X_MAX,
-    the largest phase the engine evaluates; anything else raises ValueError.
+    Domain: a schedule with 0 <= t1 and t4 <= 3 * (X_MAX / omega), the engine's last
+    time at x = X_MAX, so every equal schedule the engine evaluates; anything else
+    raises ValueError.
     """
-    if schedule.t1 < 0.0:
-        raise ValueError("schedule must start at t >= 0")
-    if not spec.omega * float(schedule.t4) <= _MAX_PHASE:
-        raise ValueError(f"need omega * t4 <= 3 * X_MAX = {_MAX_PHASE:g}, the largest phase the engine evaluates")
     times = np.array(schedule.times)
-    start, end = times[[0, 1, 2, 0]], times[[1, 2, 3, 3]]
-    first, gap = spec.omega * start, spec.omega * (end - start)
-    c12, c23, c34, c14 = _correlator(_joint_table(init, np.cos(first), np.sin(first), np.cos(gap), np.sin(gap)))
+    c12, c23, c34, c14 = _correlator(_pairs_table(init, times[[0, 1, 2, 0]], times[[1, 2, 3, 3]], spec))
     return float(c12 + c23 + c34 - c14)
 
 
@@ -185,6 +181,8 @@ def lgi_functional_engine(
     else raises ValueError. There the engine gives exactly 2 at x = +-0.0, every phase 0,
     and stays within 1e-10 of the closed form: at most 2.3e-15 on (0, pi], 7.7e-15 on
     [1, 10) and 7.3e-12 on [1e3, 1e4], in 200,000 x per range, uniform, then log-uniform.
+    Its schedule 0, dt, 2 dt, 3 dt, dt = x / omega, ends at 3 * (x / omega) <= 3 * (X_MAX / omega),
+    so lgi_value takes it and gives the same value bit for bit.
 
     The quantity is dimensionless, so by default it is evaluated on a unit
     frequency clock, which makes the result independent of any configured

@@ -75,8 +75,10 @@ gaps = st.floats(min_value=1e-6, max_value=8.0, allow_nan=False)
 phase_gaps = st.floats(min_value=1e-4, max_value=3.0, allow_nan=False)
 engine_gaps = st.floats(min_value=0.0, max_value=10.0, exclude_min=True)
 preparations = st.sampled_from(InitialCondition)
-# every double, and denser draws around the time domain omega * t <= 3 * X_MAX
+# every double, and denser draws around the time domain t <= 3 * (X_MAX / omega)
 any_times = st.one_of(st.floats(), st.floats(min_value=0.0, max_value=4.0 * X_MAX), first_times)
+# the last time at omega = 7, where omega times it rounds to 30000.000000000004, past 3 X_MAX
+T_EDGE_7 = 3.0 * (X_MAX / 7.0)
 any_frequencies = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.floats(min_value=1e-3, max_value=1e3)
 )
@@ -354,6 +356,7 @@ class TestBatchedKernel:
     @example([5e-324, 1e-310, 2.2250738585072014e-308, X_MAX], 1e-3, InitialCondition.START_H)
     @example([5e-324, X_MAX], 1.0, InitialCondition.START_V)
     @example([X_MAX], 1e3, InitialCondition.START_V)
+    @example([X_MAX], 7.0, InitialCondition.START_H)
     def test_engine_is_lgi_value_on_the_equal_schedule_bit_for_bit(self, gaps, omega, init):
         # the public schedule route: 2 dt - dt is dt exactly, and the pairs that start at
         # t = 0.0 take cos 0 = 1 and sin 0 = 0, the engine's constants
@@ -362,15 +365,16 @@ class TestBatchedKernel:
         engine = lgi_functional_engine(np.array(gaps), spec, init)
         for x, value in zip(gaps, engine.tolist()):
             dt = x / omega
-            schedule = LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt)
-            if omega * schedule.t4 > 3.0 * X_MAX:
-                # at x = X_MAX itself, omega (3 x / omega) rounds past lgi_value's bound for about one
-                # omega in five (7.0 among them); the engine bounds x, not that product
-                assert x == X_MAX
-                with pytest.raises(ValueError, match=r"omega \* t4 <= 3 \* X_MAX"):
-                    lgi_value(schedule, spec, init)
-                continue
-            assert lgi_value(schedule, spec, init).hex() == value.hex(), x
+            assert lgi_value(LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt), spec, init).hex() == value.hex(), x
+
+    @pytest.mark.parametrize("init", list(InitialCondition))
+    def test_lgi_value_takes_the_engines_widest_schedule_at_every_omega(self, init):
+        # at x = X_MAX the engine's last time 3 (X_MAX / omega) is the time rule's bound itself,
+        # while omega times it rounds past 3 X_MAX for about one omega in five (7.0 among them)
+        for omega in np.logspace(-3.0, 3.0, 1001).tolist():
+            spec, dt = ClockSpec(omega), X_MAX / omega
+            value = lgi_value(LgiSchedule(0.0, dt, 2.0 * dt, 3.0 * dt), spec, init)
+            assert value.hex() == lgi_functional_engine(X_MAX, spec, init).hex(), omega
 
     def test_schedule_before_preparation_rejected(self):
         with pytest.raises(ValueError):
@@ -419,16 +423,18 @@ class TestBatchedKernel:
 
 
 class TestTimeDomain:
-    """Each sequential function over every double: a ValueError outside omega * t <= 3 X_MAX, the closed form inside."""
+    """Each sequential function over every double: a ValueError outside 0 <= t <= 3 (X_MAX / omega), the closed form inside."""
 
     @staticmethod
     def inside(omega, *times):
         ordered = all(a < b for a, b in zip(times, times[1:]))
-        return all(math.isfinite(t) for t in times) and times[0] >= 0.0 and ordered and omega * times[-1] <= 3.0 * X_MAX
+        return all(math.isfinite(t) for t in times) and times[0] >= 0.0 and ordered and times[-1] <= 3.0 * (X_MAX / omega)
 
     @given(any_times, any_times, any_frequencies, preparations)
     @example(0.0, 3.0 * X_MAX, 1.0, InitialCondition.START_H)
     @example(0.0, float(np.nextafter(3.0 * X_MAX, np.inf)), 1.0, InitialCondition.START_V)
+    @example(0.0, T_EDGE_7, 7.0, InitialCondition.START_H)
+    @example(0.0, math.nextafter(T_EDGE_7, math.inf), 7.0, InitialCondition.START_V)
     @example(1e-300, 1e308, 1e300, InitialCondition.START_H)
     def test_joint_probability(self, t1, gap, omega, init):
         t2, spec = t1 + gap, ClockSpec(omega)
@@ -447,6 +453,8 @@ class TestTimeDomain:
     @given(any_times, any_times, any_frequencies, preparations)
     @example(0.0, 3.0 * X_MAX, 1.0, InitialCondition.START_H)
     @example(0.0, float(np.nextafter(3.0 * X_MAX, np.inf)), 1.0, InitialCondition.START_V)
+    @example(0.0, T_EDGE_7, 7.0, InitialCondition.START_H)
+    @example(0.0, math.nextafter(T_EDGE_7, math.inf), 7.0, InitialCondition.START_V)
     def test_correlator(self, t1, gap, omega, init):
         t2, spec = t1 + gap, ClockSpec(omega)
         with warnings.catch_warnings():
@@ -462,6 +470,8 @@ class TestTimeDomain:
     @given(st.lists(any_times, min_size=4, max_size=4), any_frequencies, preparations)
     @example([0.0, 1.0, 1.0, 3.0 * X_MAX - 2.0], 1.0, InitialCondition.START_H)
     @example([0.0, 1.0, 1.0, float(np.nextafter(3.0 * X_MAX, np.inf)) - 2.0], 1.0, InitialCondition.START_V)
+    @example([0.0, 1.0, 1.0, T_EDGE_7 - 2.0], 7.0, InitialCondition.START_H)
+    @example([0.0, 1.0, 1.0, math.nextafter(T_EDGE_7, math.inf) - 2.0], 7.0, InitialCondition.START_V)
     def test_lgi_value(self, steps, omega, init):
         times = list(itertools.accumulate(steps))  # a start and three gaps
         spec = ClockSpec(omega)
