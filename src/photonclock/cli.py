@@ -279,10 +279,15 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     """
     if fmt == "json":
         for name, column in zip(fieldnames, columns):
-            values = column[0][column[1]] if isinstance(column, tuple) else column
-            if not np.isfinite(values).all():
-                row = int(np.isfinite(values).argmin())
-                raise NumericalIntegrityError(f"column {name!r}, row {row}: {float(values[row])!r} has no JSON text")
+            values, index = column if isinstance(column, tuple) else (column, slice(None))
+            finite = np.isfinite(values)
+            if finite.all():
+                continue
+            read = finite[index]  # a factored column gathers only its mask; a value no row reads is not written
+            if not read.all():
+                row = int(read.argmin())
+                value = float(values[index][row])
+                raise NumericalIntegrityError(f"column {name!r}, row {row}: {value!r} has no JSON text")
         meta = json.dumps({"meta": _meta_object(command, meta_items)}, indent=2)
         head = meta[: -len("\n}")] + ',\n  "rows": ['
         tail = "\n  ]\n}\n" if _row_count(columns[0]) else "]\n}\n"  # json.dumps writes no rows as []
@@ -332,7 +337,7 @@ def _output(path: str | None):
     that exists and is not a regular file, such as a FIFO or /dev/null, is
     written directly.
     """
-    if not path:
+    if path is None:
         stdout = getattr(sys.stdout, "buffer", None)
         if stdout is None:
             raise OSError("stdout has no binary buffer to write to")
@@ -567,6 +572,12 @@ def _add_bounded(parser, flag: str, kind, low, high, help: str, **kwargs) -> Non
     parser.add_argument(flag, type=bounded, help=f"{help}, in {span}", **kwargs)
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process.
@@ -580,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounded(clock, "--omega", float, math.ulp(0.0), sys.float_info.max, "clock angular frequency", default=1.0)
 
     output = _Parser(add_help=False)
-    output.add_argument("--out", help="output file (default: stdout)")
+    output.add_argument("--out", type=_out_path, help="output file (default: stdout)")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
 
     grid = _Parser(add_help=False)

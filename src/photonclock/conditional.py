@@ -11,7 +11,11 @@ with E = (I + lambda_c Q_c)(I - lambda_r Q_r)/4 and E_c = (I + lambda_c Q_c)/2.
 Both are affine in the sharpness, so a preparation enters only through the
 moments <I>, <Q_c>, <Q_r>, <Q_c Q_r>, each taken in the queried formalism and
 cached per preparation and formalism; the per-effect ratio is the tests'
-oracle. Closed forms, with clock and system sharpness lambda_c, lambda_r:
+oracle. A preparation is its equal-weight members, the singlet alone or the
+product pair at the PANELS phase nodes, and both formalisms read them: the
+amplitude route averages <psi|op|psi> over the members, and the density-matrix
+route takes Tr[op rho] with rho their mean projector. Closed forms, with
+clock and system sharpness lambda_c, lambda_r:
 
     stationary, sharp        : 1
     time dependent, sharp    : 3/4
@@ -37,7 +41,7 @@ import numpy as np
 from .dynamics import ClockSpec, product_state_phase
 from .errors import DegenerateConditioningError, NumericalIntegrityError
 from .measurement import SHARP, SharpnessPair, dichotomic_observable
-from .qstate import Subsystem, projector, trace_of_product
+from .qstate import Subsystem, trace_of_product
 
 DEGENERATE_DENOMINATOR = 1e-14
 # periodic-trapezoid nodes per period: more than the integrand degree 4, so the rule is exact
@@ -82,20 +86,15 @@ class ConditionalQuery:
         return SHARP if self.measurement_kind is MeasurementKind.SHARP else self.sharpness
 
 
-@functools.cache
-def _evolving_ensemble() -> tuple[np.ndarray, np.ndarray]:
+def _evolving_members() -> np.ndarray:
     """The product pair at the phase nodes 2*pi*k/PANELS, k = 0 .. PANELS-1 (k = PANELS
-    would repeat k = 0), and rho_bar, the mean of their projectors."""
-    states = product_state_phase(2.0 * math.pi * np.arange(PANELS) / PANELS)
-    rho = np.einsum("ni,nj->ij", states, states.conj()) / PANELS
-    states.setflags(write=False)
-    rho.setflags(write=False)
-    return states, rho
+    would repeat k = 0): the equal-weight members of the evolving preparation."""
+    return product_state_phase(2.0 * math.pi * np.arange(PANELS) / PANELS)
 
 
 @functools.cache
 def _stationary_cached() -> np.ndarray:
-    averaged = _evolving_ensemble()[0].mean(axis=0)
+    averaged = _evolving_members().mean(axis=0)
     norm = float(np.linalg.norm(averaged))
     if norm < DEGENERATE_DENOMINATOR:
         raise NumericalIntegrityError("one-period amplitude average vanished")
@@ -105,15 +104,6 @@ def _stationary_cached() -> np.ndarray:
         state = state * (hv.conjugate() / abs(hv))
     state.setflags(write=False)
     return state
-
-
-def _stationary_ensemble() -> tuple[np.ndarray, np.ndarray]:
-    """The stationary singlet as a one-member ensemble, and its projector."""
-    psi = _stationary_cached()
-    return psi[np.newaxis, :], projector(psi)
-
-
-_ENSEMBLES = {StateKind.STATIONARY: _stationary_ensemble, StateKind.TIME_DEPENDENT: _evolving_ensemble}
 
 
 def stationary_state(spec: ClockSpec) -> np.ndarray:
@@ -129,22 +119,25 @@ def stationary_state(spec: ClockSpec) -> np.ndarray:
     return _stationary_cached().copy()
 
 
-def _expectation(effect: np.ndarray, states: np.ndarray, rho: np.ndarray, formalism: Formalism) -> float:
-    """Equal-weight ensemble expectation: mean of <psi|E|psi>, or Tr[E rho]."""
-    if formalism is Formalism.AMPLITUDE:
-        return float(np.mean(np.einsum("ni,ij,nj->n", states.conj(), effect, states).real))
-    return trace_of_product(effect, rho).real
-
-
 @functools.cache
 def _moments(kind: StateKind, formalism: Formalism) -> tuple[float, float, float, float]:
     """<I>, <Q_c>, <Q_r>, <Q_c Q_r> of a preparation, each taken in the given formalism.
 
-    Cached per preparation and formalism, so the amplitude and density-matrix
-    moments are kept apart and still check each other.
+    Both formalisms read the preparation's members: the amplitude route takes
+    the mean of <psi|op|psi>, the density-matrix route Tr[op rho] with rho
+    their mean projector. Cached per preparation and formalism, so the two
+    routes' moments are kept apart and still check each other.
     """
-    states, rho = _ENSEMBLES[kind]()
-    return tuple(_expectation(op, states, rho, formalism) for op in _MOMENTS)
+    if kind is StateKind.STATIONARY:
+        states = _stationary_cached()[np.newaxis, :]
+    else:
+        states = _evolving_members()
+    if formalism is Formalism.AMPLITUDE:
+        return tuple(
+            float(np.mean(np.einsum("ni,ij,nj->n", states.conj(), op, states).real)) for op in _MOMENTS
+        )
+    rho = np.einsum("ni,nj->ij", states, states.conj()) / len(states)
+    return tuple(trace_of_product(op, rho).real for op in _MOMENTS)
 
 
 def conditional_probability(query: ConditionalQuery, spec: ClockSpec) -> float | np.ndarray:

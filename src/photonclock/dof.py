@@ -18,11 +18,13 @@ class Spin:
 
     @classmethod
     def from_j(cls, j: float) -> "Spin":
-        """The spin j, within 1e-12 of a nonnegative integer or half-integer; anything
-        else, infinities and NaN included, raises ValueError."""
+        """The spin j, within 1e-12 of a nonnegative integer or half-integer; any other
+        number, a bool, an infinity or NaN included, raises ValueError, and a non-number
+        such as "1" is the caller's error and raises TypeError."""
         twice = 2.0 * j
         # isfinite first: round raises OverflowError on an infinity and its own message on NaN
-        if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-12 and round(twice) >= 0):
+        inside = math.isfinite(twice) and abs(twice - round(twice)) <= 1e-12 and round(twice) >= 0
+        if isinstance(j, bool) or not inside:
             raise ValueError(f"j must be a finite nonnegative integer or half-integer, not {j!r}")
         return cls(round(twice))
 

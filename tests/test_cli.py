@@ -133,6 +133,12 @@ class TestArgumentHandling:
     def test_dof_rejects_low_dimension(self, capsys):
         assert main(["dof", "--dim", "2"]) == 1
 
+    def test_empty_out_is_a_usage_error(self, capsys):
+        assert main(["dof", "--dim", "4", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert "argument --out: an empty path names no file" in captured.err
+        assert captured.out == ""
+
     def test_dof_takes_no_omega(self, capsys):
         # the table does not depend on a clock, so the flag is not one of dof's
         assert main(["dof", "--dim", "4", "--omega", "7"]) == 1
@@ -702,7 +708,7 @@ VALID = {
 INVALID = {
     "--omega": ["0", "-1", "nan", "inf", "abc"],
     "--format": ["yaml"],
-    "--out": [OUT_IN_MISSING_DIR],
+    "--out": [OUT_IN_MISSING_DIR, ""],
     "--grid-n": ["1", "0", "-5", str(cli._MAX_GRID_N + 1), "2.5"],
     "--x-min": ["-1", "nan", "inf", "1e300", "zero"],
     "--x-max": [repr(float(np.nextafter(cli._X_MAX, np.inf))), "1e5", "nan", "-inf"],

@@ -264,25 +264,30 @@ class TestUnsharpConditionals:
 
 class TestMomentsCache:
     @pytest.mark.usefixtures("fresh_moments")
-    def test_each_preparation_takes_its_four_moments_once(self, monkeypatch):
-        calls = []
-        real = conditional_module._expectation
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(conditional_module, "_expectation", counted)
+    def test_each_preparation_takes_its_four_moments_once(self):
         pair = SharpnessPair(np.linspace(0.0, 1.0, 5), 0.3)
         for kind, formalism in itertools.product(StateKind, Formalism):
             query = ConditionalQuery(kind, MeasurementKind.UNSHARP, pair, formalism)
-            before = len(calls)
+            before = conditional_module._moments.cache_info().misses
             conditional_probability(query, UNIT)
-            assert len(calls) - before == 4
+            assert conditional_module._moments.cache_info().misses - before == 1
             conditional_probability(query, UNIT)
             sharp = ConditionalQuery(kind, MeasurementKind.SHARP, formalism=formalism)
             conditional_probability(sharp, UNIT)
-            assert len(calls) - before == 4
+            assert conditional_module._moments.cache_info().misses - before == 1
+            assert len(conditional_module._moments(kind, formalism)) == 4
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_density_matrix_moments_match_the_projector_mean_bit_for_bit(self, kind):
+        # rho built apart from the library: the singlet's projector, or the mean projector at the PANELS nodes
+        if kind is StateKind.STATIONARY:
+            rho = projector(stationary_state(UNIT))
+        else:
+            states = product_state_phase(2.0 * math.pi * np.arange(PANELS) / PANELS)
+            rho = np.mean([projector(psi) for psi in states], axis=0)
+        expected = [float.hex(trace_of_product(op, rho).real) for op in conditional_module._MOMENTS]
+        moments = conditional_module._moments(kind, Formalism.DENSITY_MATRIX)
+        assert [float.hex(m) for m in moments] == expected
 
     def test_moments_match_other_node_counts(self):
         for panels, kind, formalism in itertools.product(ORACLE_PANELS, StateKind, Formalism):

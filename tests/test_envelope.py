@@ -211,11 +211,14 @@ class TestCounts:
     @example(-1e-13)
     @example(0.5 + 1e-12)
     @example(-0.0)
+    @example(True)
+    @example(False)
     def test_spin_from_j(self, j):
         # inside: a finite 2j within 1e-12 of an integer n >= 0, measured exactly
         twice = Fraction(j) * 2 if math.isfinite(2.0 * j) else None
         nearest = None if twice is None else round(twice)
         inside = twice is not None and abs(twice - nearest) <= Fraction(1e-12) and nearest >= 0
+        inside = inside and not isinstance(j, bool)  # refused, as Spin refuses it
         with strict():
             if not inside:
                 with pytest.raises(ValueError, match=r"^j must be a finite nonnegative integer or half-integer, not "):
