@@ -9,9 +9,10 @@ same text in both: a float is its exact "%.17g" text (_float_cells). So JSON
 has 2 and -0 for 2.0 and -0.0, and refuses inf and NaN, which it has no text
 for, as a numerical integrity error. A factored column (values, index), as
 cond-surface writes all of its columns, has each value formatted once per
-dataset. --out is replaced atomically once complete (_output). Every
-reported quantity is dimensionless, which makes the data independent of
---omega.
+process while the values repeat (_cells_of). --out is replaced atomically
+once complete (_output). Every reported quantity is dimensionless, which
+makes the data independent of --omega: cond-surface computes everything but
+its meta line once per process while --grid-n repeats (_surface_columns).
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
 memory included; a closed pipe exits quietly), 3 numerical integrity.
@@ -67,6 +68,9 @@ _TEMP_TRIES = 100
 BLOCK_ROWS = 2**14
 
 _BOOL_CELLS = np.array([b"false", b"true"]).view("V5")  # NUL-padded, as every cell
+
+# the conditionals are taken in the phase variable and read no frequency: they are evaluated on this one
+_UNIT_CLOCK = ClockSpec(1.0)
 
 
 def _split(a):
@@ -252,15 +256,29 @@ def _blocks(columns):
         yield [(column[0], column[1][rows]) if isinstance(column, tuple) else column[rows] for column in columns]
 
 
-def _factored_cells(columns):
-    """The columns with each factored column's values as their 24-byte cells. The values of all
-    factored columns are formatted once for the dataset, into one array, BLOCK_ROWS values a
-    _float_cells call, so that the call's temporaries stay the size of a block's."""
-    factored = [column[0] for column in columns if isinstance(column, tuple)]
-    values = np.concatenate(factored) if factored else np.empty(0)
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=1)
+def _cells_of(values: bytes) -> np.ndarray:
+    """The 24-byte cells of the float64 values whose exact bits are ``values``, read-only,
+    BLOCK_ROWS values a _float_cells call, so that the call's temporaries stay the size of
+    a block's. Keyed by those bits, so a hit returns the same text."""
+    values = np.frombuffer(values, np.float64)
     cells = np.empty(values.size, f"V{_CELL}")
     for lo in range(0, values.size, BLOCK_ROWS):
         cells[lo : lo + BLOCK_ROWS] = _float_cells(values[lo : lo + BLOCK_ROWS]).view(f"V{_CELL}")[:, 0]
+    return _readonly(cells)
+
+
+def _factored_cells(columns):
+    """The columns with each factored column's values as their 24-byte cells. The values of all
+    factored columns are formatted together, into one array, by _cells_of, once per process
+    while they repeat."""
+    factored = [column[0] for column in columns if isinstance(column, tuple)]
+    cells = _cells_of(np.concatenate(factored).tobytes() if factored else b"")
     columns, lo = list(columns), 0
     for n, column in enumerate(columns):
         if isinstance(column, tuple):
@@ -275,7 +293,8 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"`` with the rows' floats
     in that text; JSON refuses inf and NaN, at their first column and row, before writing.
     A factored float column ``(values, index)`` stands for values[index]: its values are
-    formatted once for the dataset (_factored_cells), and each block gathers their cells.
+    formatted once per process while they repeat (_factored_cells), and each block gathers
+    their cells.
     """
     if fmt == "json":
         for name, column in zip(fieldnames, columns):
@@ -413,14 +432,14 @@ def cmd_lgi_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray, omega: float) -> np.ndarray:
+def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray) -> np.ndarray:
     """The stationary and the time-averaged unsharp conditional at the sharpness points,
-    stacked: one call per preparation, one comparison against the closed forms."""
-    spec = ClockSpec(omega)
+    stacked: one call per preparation on the unit clock, _UNIT_CLOCK, as no conditional
+    reads the frequency, and one comparison against the closed forms."""
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
-    values = np.array([conditional_probability(query, spec) for query in queries])
+    values = np.array([conditional_probability(query, _UNIT_CLOCK) for query in queries])
     product = lam_c * lam_r
     closed = np.array([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     where = lambda index: f"lambda_c={float(lam_c[index[-1]])!r}, lambda_r={float(lam_r[index[-1]])!r}"
@@ -447,21 +466,29 @@ def _product_groups(grid: np.ndarray):
     return order[starts], index
 
 
-def cmd_cond_surface(args: argparse.Namespace) -> int:
-    grid = np.linspace(0.0, 1.0, args.grid_n)
-    i, j = _divmod(np.arange(args.grid_n**2), args.grid_n)  # row-major in (lambda_c, lambda_r)
+@functools.lru_cache(maxsize=1)
+def _surface_columns(grid_n: int):
+    """cond-surface's five factored columns at grid_n, every array read-only. They depend on
+    grid_n alone, so they are computed, and cross-checked, once per process while it repeats;
+    a failed cross-check raises and caches nothing."""
+    grid = np.linspace(0.0, 1.0, grid_n)
+    i, j = _divmod(np.arange(grid_n**2), grid_n)  # row-major in (lambda_c, lambda_r)
     first, index = _product_groups(grid)
-    p_st, p_td = _conditional_columns(grid[i[first]], grid[j[first]], args.omega)
+    p_st, p_td = _conditional_columns(grid[i[first]], grid[j[first]])
+    grid, i, j, index = map(_readonly, (grid, i, j, index))
+    return (grid, i), (grid, j), *((_readonly(values), index) for values in (p_st, p_td, p_st - p_td))
+
+
+def cmd_cond_surface(args: argparse.Namespace) -> int:
     meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    columns = ((grid, i), (grid, j), (p_st, index), (p_td, index), (p_st - p_td, index))  # all factored
-    _write_dataset("cond-surface", meta, fields, columns, args)
+    _write_dataset("cond-surface", meta, fields, _surface_columns(args.grid_n), args)
     return 0
 
 
 def cmd_cond_slice(args: argparse.Namespace) -> int:
     lam = np.linspace(0.0, 1.0, args.grid_n)
-    p_st, p_td = _conditional_columns(lam, lam, args.omega)
+    p_st, p_td = _conditional_columns(lam, lam)
     meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda", "P_stationary", "P_timeavg")
     _write_dataset("cond-slice", meta, fields, (lam, p_st, p_td), args)
