@@ -9,10 +9,9 @@ same text in both: a float is its exact "%.17g" text (_float_cells). So JSON
 has 2 and -0 for 2.0 and -0.0, and refuses inf and NaN, which it has no text
 for, as a numerical integrity error. A factored column (values, index), as
 cond-surface writes all of its columns, has each value formatted once per
-process while the values repeat (_cells_of). --out is replaced atomically
-once complete (_output). Every reported quantity is dimensionless, which
-makes the data independent of --omega: cond-surface computes everything but
-its meta line once per process while --grid-n repeats (_surface_columns).
+dataset. --out is replaced atomically once complete (_output). Every
+reported quantity is dimensionless, which makes the data independent of
+--omega.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or resource error (out of
 memory included; a closed pipe exits quietly), 3 numerical integrity.
@@ -28,6 +27,7 @@ import math
 import os
 import stat
 import sys
+import threading
 
 import numpy as np
 
@@ -69,8 +69,18 @@ BLOCK_ROWS = 2**14
 
 _BOOL_CELLS = np.array([b"false", b"true"]).view("V5")  # NUL-padded, as every cell
 
-# the conditionals are taken in the phase variable and read no frequency: they are evaluated on this one
-_UNIT_CLOCK = ClockSpec(1.0)
+
+class _BlockText(threading.local):
+    """Each thread's NUL-padded block text and the row template it repeats. A block with the
+    same template and row count reuses it: each block writes every cell slot, and the template
+    holds the rest. A text allocated and freed per block made an op's cost follow glibc's heap
+    history: in some processes every README-size op regrew the heap by it, 56 page faults."""
+
+    def __init__(self):
+        self.row, self.text = bytearray(), bytearray()
+
+
+_BLOCK = _BlockText()
 
 
 def _split(a):
@@ -212,7 +222,7 @@ def _text_block(columns, pieces) -> bytearray:
     """One block of rows as ASCII bytes, each row pieces[0], cell, pieces[1], ..., cell, pieces[-1].
 
     The rows are laid out from one repeated row template in a NUL-padded byte
-    matrix, whose NULs are then dropped. A factored column comes as ``(cells,
+    matrix, the thread's _BLOCK text, whose NULs are then dropped. A factored column comes as ``(cells,
     index)``, its values already formatted (_factored_cells), so its rows only
     gather their cells through the index. The floats of the plain float
     columns go through one _float_cells call, which gives each its text in a
@@ -228,7 +238,10 @@ def _text_block(columns, pieces) -> bytearray:
         template += piece
         starts.append(len(template))
         template += bytes(width)
-    text = (template + pieces[-1]) * rows
+    row = template + pieces[-1]
+    if _BLOCK.row != row or len(_BLOCK.text) != len(row) * rows:
+        _BLOCK.row, _BLOCK.text = row, row * rows  # a new text: a view of the old may still be alive
+    text = _BLOCK.text
     matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
     floats, slots = [], []  # the plain float columns and their cells
     for values, start, width in zip(columns, starts, widths):
@@ -256,29 +269,15 @@ def _blocks(columns):
         yield [(column[0], column[1][rows]) if isinstance(column, tuple) else column[rows] for column in columns]
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-@functools.lru_cache(maxsize=1)
-def _cells_of(values: bytes) -> np.ndarray:
-    """The 24-byte cells of the float64 values whose exact bits are ``values``, read-only,
-    BLOCK_ROWS values a _float_cells call, so that the call's temporaries stay the size of
-    a block's. Keyed by those bits, so a hit returns the same text."""
-    values = np.frombuffer(values, np.float64)
+def _factored_cells(columns):
+    """The columns with each factored column's values as their 24-byte cells. The values of all
+    factored columns are formatted once for the dataset, into one array, BLOCK_ROWS values a
+    _float_cells call, so that the call's temporaries stay the size of a block's."""
+    factored = [column[0] for column in columns if isinstance(column, tuple)]
+    values = np.concatenate(factored) if factored else np.empty(0)
     cells = np.empty(values.size, f"V{_CELL}")
     for lo in range(0, values.size, BLOCK_ROWS):
         cells[lo : lo + BLOCK_ROWS] = _float_cells(values[lo : lo + BLOCK_ROWS]).view(f"V{_CELL}")[:, 0]
-    return _readonly(cells)
-
-
-def _factored_cells(columns):
-    """The columns with each factored column's values as their 24-byte cells. The values of all
-    factored columns are formatted together, into one array, by _cells_of, once per process
-    while they repeat."""
-    factored = [column[0] for column in columns if isinstance(column, tuple)]
-    cells = _cells_of(np.concatenate(factored).tobytes() if factored else b"")
     columns, lo = list(columns), 0
     for n, column in enumerate(columns):
         if isinstance(column, tuple):
@@ -293,8 +292,7 @@ def _write_rows(handle, command: str, meta_items, fieldnames, columns, fmt: str)
     to ``json.dumps({"meta": ..., "rows": [...]}, indent=2) + "\n"`` with the rows' floats
     in that text; JSON refuses inf and NaN, at their first column and row, before writing.
     A factored float column ``(values, index)`` stands for values[index]: its values are
-    formatted once per process while they repeat (_factored_cells), and each block gathers
-    their cells.
+    formatted once for the dataset (_factored_cells), and each block gathers their cells.
     """
     if fmt == "json":
         for name, column in zip(fieldnames, columns):
@@ -434,12 +432,13 @@ def cmd_lgi_scan(args: argparse.Namespace) -> int:
 
 def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray) -> np.ndarray:
     """The stationary and the time-averaged unsharp conditional at the sharpness points,
-    stacked: one call per preparation on the unit clock, _UNIT_CLOCK, as no conditional
-    reads the frequency, and one comparison against the closed forms."""
+    stacked: one call per preparation, one comparison against the closed forms. Both are
+    evaluated on the unit clock, ClockSpec(1.0): no conditional reads the frequency."""
+    spec = ClockSpec(1.0)
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
-    values = np.array([conditional_probability(query, _UNIT_CLOCK) for query in queries])
+    values = np.array([conditional_probability(query, spec) for query in queries])
     product = lam_c * lam_r
     closed = np.array([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     where = lambda index: f"lambda_c={float(lam_c[index[-1]])!r}, lambda_r={float(lam_r[index[-1]])!r}"
@@ -466,23 +465,15 @@ def _product_groups(grid: np.ndarray):
     return order[starts], index
 
 
-@functools.lru_cache(maxsize=1)
-def _surface_columns(grid_n: int):
-    """cond-surface's five factored columns at grid_n, every array read-only. They depend on
-    grid_n alone, so they are computed, and cross-checked, once per process while it repeats;
-    a failed cross-check raises and caches nothing."""
-    grid = np.linspace(0.0, 1.0, grid_n)
-    i, j = _divmod(np.arange(grid_n**2), grid_n)  # row-major in (lambda_c, lambda_r)
+def cmd_cond_surface(args: argparse.Namespace) -> int:
+    grid = np.linspace(0.0, 1.0, args.grid_n)
+    i, j = _divmod(np.arange(args.grid_n**2), args.grid_n)  # row-major in (lambda_c, lambda_r)
     first, index = _product_groups(grid)
     p_st, p_td = _conditional_columns(grid[i[first]], grid[j[first]])
-    grid, i, j, index = map(_readonly, (grid, i, j, index))
-    return (grid, i), (grid, j), *((_readonly(values), index) for values in (p_st, p_td, p_st - p_td))
-
-
-def cmd_cond_surface(args: argparse.Namespace) -> int:
     meta = [("omega", args.omega), ("panels", PANELS), ("grid_n", args.grid_n)]
     fields = ("lambda_c", "lambda_r", "P_stationary", "P_timeavg", "advantage")
-    _write_dataset("cond-surface", meta, fields, _surface_columns(args.grid_n), args)
+    columns = ((grid, i), (grid, j), (p_st, index), (p_td, index), (p_st - p_td, index))  # all factored
+    _write_dataset("cond-surface", meta, fields, columns, args)
     return 0
 
 

@@ -1,20 +1,9 @@
 import os
 
 import hypothesis
-import pytest
-
-from photonclock import cli
 
 hypothesis.settings.register_profile("default", deadline=None)
 # GitHub Actions sets CI: there every run draws the same examples, and a
 # failure prints the blob that reproduces it
 hypothesis.settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 hypothesis.settings.load_profile("ci" if "CI" in os.environ else "default")
-
-
-@pytest.fixture(autouse=True)
-def clear_cli_caches():
-    """Each test starts with cond-surface's columns and the factored cells uncached, so a
-    patched conditional or formatter is called and no test reads another's results."""
-    cli._surface_columns.cache_clear()
-    cli._cells_of.cache_clear()

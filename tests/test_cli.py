@@ -817,8 +817,5 @@ def test_the_readme_size_ops_call_no_forwarding_wrapper(tmp_path, monkeypatch, a
 
     for name in FORWARDING_WRAPPERS:
         monkeypatch.setattr(np, name, refuse(name))
-    # uncached, so that the guarded run groups, evaluates and formats again
-    cli._surface_columns.cache_clear()
-    cli._cells_of.cache_clear()
     assert main([*argv, "--out", str(guarded)]) == 0
     assert guarded.read_bytes() == expected.read_bytes()

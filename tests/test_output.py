@@ -335,21 +335,21 @@ def test_a_factored_column_is_refused_at_the_first_row_that_gathers_an_inf(monke
         cli._write_rows(io.BytesIO(), "test", [], ["c", "d"], columns, "json")
 
 
-def _counting(monkeypatch, name):
-    """The argument tuples of the calls of cli.<name>, recorded as they pass through to it."""
-    calls = []
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or real(*args))
-    return calls
+def _surface_columns(monkeypatch, grid_n):
+    """The columns cond-surface --grid-n hands the writer."""
+    seen = []
+    monkeypatch.setattr(cli, "_write_dataset", lambda command, meta, fields, columns, args: seen.append(columns))
+    assert main(["cond-surface", "--grid-n", str(grid_n)]) == 0
+    return seen[0]
 
 
 @pytest.mark.parametrize("grid_n", [2, 3, 41, 150, 1024])
-def test_surface_conditionals_gather_the_full_grid_bit_for_bit(grid_n):
+def test_surface_conditionals_gather_the_full_grid_bit_for_bit(monkeypatch, grid_n):
     # the factoring's oracle: the conditionals at every one of the grid_n**2 pairs
     grid = np.linspace(0.0, 1.0, grid_n)
     i, j = cli._divmod(np.arange(grid_n**2), grid_n)
     p_st, p_td = cli._conditional_columns(grid[i], grid[j])
-    columns = cli._surface_columns(grid_n)
+    columns = _surface_columns(monkeypatch, grid_n)
     for column, want in zip(columns, (grid[i], grid[j], p_st, p_td, p_st - p_td)):
         assert isinstance(column, tuple)
         assert _expanded(column).tobytes() == want.tobytes()
@@ -357,50 +357,43 @@ def test_surface_conditionals_gather_the_full_grid_bit_for_bit(grid_n):
 
 def test_cond_surface_conditionals_are_deduplicated_at_the_readme_size(monkeypatch):
     # 1681 pairs, 572 distinct products; their 3 * 572 conditionals and the 2 * 41 grid values
-    # are formatted by one _float_cells call, whose cells the JSON run reads from the cache
-    columns = cli._surface_columns(41)
+    # are formatted by one _float_cells call
+    columns = _surface_columns(monkeypatch, 41)
     assert [column[0].size for column in columns] == [41, 41, 572, 572, 572]
     assert columns[2][1] is columns[3][1] is columns[4][1]
-    calls = _counting(monkeypatch, "_float_cells")
+    monkeypatch.undo()
+    calls = []
+    real = cli._float_cells
+    monkeypatch.setattr(cli, "_float_cells", lambda values: calls.append(values.size) or real(values))
     for fmt in ("csv", "json"):
         assert main(["cond-surface", "--grid-n", "41", "--format", fmt, "--out", os.devnull]) == 0
-    assert [args[0].size for args in calls] == [41 + 41 + 3 * 572]
+    assert calls == [41 + 41 + 3 * 572] * 2
 
 
-def test_a_repeated_grid_n_is_read_from_the_caches(monkeypatch, tmp_path):
-    # a second op at another --omega and --format groups and formats nothing, and writes the bytes
-    # of an uncached op
-    cached, fresh = tmp_path / "cached.json", tmp_path / "fresh.json"
-    assert main(["cond-surface", "--grid-n", "41", "--out", os.devnull]) == 0
-    hits = cli._surface_columns.cache_info().hits, cli._cells_of.cache_info().hits
-    groups, cells = _counting(monkeypatch, "_product_groups"), _counting(monkeypatch, "_float_cells")
-    argv = ["cond-surface", "--grid-n", "41", "--omega", "7.5", "--format", "json"]
-    assert main([*argv, "--out", str(cached)]) == 0
-    assert groups == cells == []
-    assert (cli._surface_columns.cache_info().hits, cli._cells_of.cache_info().hits) == (hits[0] + 1, hits[1] + 1)
-    cli._surface_columns.cache_clear()
-    cli._cells_of.cache_clear()
-    assert main([*argv, "--out", str(fresh)]) == 0
-    assert len(groups) == len(cells) == 1
-    assert cached.read_bytes() == fresh.read_bytes()
+def test_blocks_of_one_template_and_row_count_share_one_text(tmp_path):
+    # each block writes every cell slot, so the padded text outlives an op, and a new template
+    # or row count builds a new one even while a view of the old one is alive
+    paths = [tmp_path / f"{n}.csv" for n in range(4)]
+    argvs = [["--grid-n", "41"], ["--grid-n", "41", "--omega", "3"], ["--grid-n", "40"], ["--grid-n", "41"]]
+    texts = []
+    for argv, path in zip(argvs, paths):
+        assert main(["cond-surface", *argv, "--out", str(path)]) == 0
+        texts.append(cli._BLOCK.text)
+        view = np.frombuffer(texts[-1], np.uint8)
+    assert texts[1] is texts[0] and texts[2] is not texts[1] and texts[3] is not texts[2]
+    data = [path.read_text().splitlines()[1:] for path in paths]
+    assert data[0] == data[1] == data[3] != data[2]
 
 
-def test_the_cached_arrays_are_read_only():
+def test_each_thread_lays_out_its_blocks_in_its_own_text():
     assert main(["cond-surface", "--grid-n", "3", "--out", os.devnull]) == 0
-    columns = cli._surface_columns(3)
-    arrays = [array for column in columns for array in column]
-    arrays += [column[0] for column in cli._factored_cells(columns)]  # views of _cells_of's cells
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[0]
-
-
-def test_a_new_grid_n_replaces_the_cached_entry():
-    for grid_n in ("41", "3"):
-        assert main(["cond-surface", "--grid-n", grid_n, "--out", os.devnull]) == 0
-    for cache in (cli._surface_columns, cli._cells_of):
-        info = cache.cache_info()
-        assert (info.currsize, info.misses) == (1, 2)
+    text, seen = cli._BLOCK.text, []
+    thread = threading.Thread(
+        target=lambda: seen.append((main(["cond-surface", "--grid-n", "3", "--out", os.devnull]), cli._BLOCK.text))
+    )
+    thread.start()
+    thread.join()
+    assert seen[0][0] == 0 and seen[0][1] is not text and cli._BLOCK.text is text
 
 
 @FORMATS
