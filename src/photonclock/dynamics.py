@@ -1,8 +1,11 @@
-"""Two-level rotor Hamiltonians, the series propagator, and the static-state residual.
+"""Two-level rotor Hamiltonians, the spectral propagator, and the static-state residual.
 
 Units: hbar is fixed to 1, so omega is the only scale and energies are in
 units of hbar*omega. Every physical result downstream depends on the phase
 omega*t only, never on omega and t separately.
+
+The propagator is spectral, V diag(exp(-i lambda t / hbar)) V^dagger from numpy's eigh: the
+well-conditioned route for a Hermitian generator (Moler and Van Loan, SIAM Review 45 (2003) 3).
 """
 
 from __future__ import annotations
@@ -12,20 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import ATOL, ket, tensor_product
+from .qstate import ATOL, ket, refuse_text, tensor_product
 
 HBAR = 1.0
 
-# truncation threshold for the series propagator and its safety cap
-_SERIES_EPS = 1e-16
-_SERIES_MAX_TERMS = 128
-# the norm the series is scaled down to before it is squared back up: each
-# squaring doubles the unitarity error, and a larger norm needs fewer of them
-_SERIES_SCALED_NORM = 2.0
-
-# the propagator's domain: a finite t with ||h||_inf * |t| at most this, where
-# the series stays unitary to 1e-12
+# the propagator's domain: a finite t with ||h||_inf * |t| at most this. Each phase lambda * t is
+# off by eigh's eigenvalue error, 2 n u ||h||, and its own rounding, in all (2n + 1) u ||h||_inf |t|,
+# so at the edge the result is within about 1e-12 of exp(-i h t); past it the error keeps growing.
 MAX_NORM_TIME = 1e3
+
+# max |U^dagger U - I| for an n x n h, n <= 4, u = 2**-53, at every t: |exp(-i lambda t)| is 1 to an ulp
+# however lambda * t rounds. eigh's V is orthonormal to 2 n u (backward stable), entering twice; scaling
+# V's columns by the phases is within 3 u, twice; each n-term complex inner product is within 2 n u,
+# V D V^dagger twice and the check U^dagger U once: 4nu + 6u + 4nu + 2nu <= 13 n u, rounded up to 16 n u.
+UNITARITY_TOL = 16 * 4 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -56,43 +59,19 @@ def global_hamiltonian(spec: ClockSpec) -> np.ndarray:
     return tensor_product(h1, eye) + tensor_product(eye, h1)
 
 
-def _expm_series(a: np.ndarray) -> np.ndarray:
-    # scaling and squaring; the Taylor tail is truncated once the next term
-    # falls below _SERIES_EPS in the infinity norm
-    norm = float(np.linalg.norm(a, np.inf))
-    squarings = 0
-    if norm > _SERIES_SCALED_NORM:
-        squarings = int(math.ceil(math.log2(norm / _SERIES_SCALED_NORM)))
-    scaled = a / (2.0 ** squarings)
-    dim = a.shape[0]
-    term = np.eye(dim, dtype=complex)
-    total = np.eye(dim, dtype=complex)
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term @ scaled / k
-        total = total + term
-        if float(np.linalg.norm(term, np.inf)) < _SERIES_EPS:
-            break
-    for _ in range(squarings):
-        total = total @ total
-    return total
-
-
 def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-i h t / hbar) for a Hermitian generator h.
+    """Unitary exp(-i h t / hbar) for a Hermitian generator h, as V diag(exp(-i lambda t / hbar)) V^dagger
+    from h's eigendecomposition. It is the test oracle for the one closed form in the package, the plane
+    rotation whose entries ``lgi._joint_table`` squares.
 
-    Generic scaling and squaring of the Taylor series, with no structural
-    assumption about h. It is the test oracle for the one closed form in the
-    package, the plane rotation whose entries ``lgi._joint_table`` squares.
-
-    Domain: a finite t with ||h||_inf * |t| <= MAX_NORM_TIME = 1e3, where the
-    result is unitary to 1e-12. Past it the squarings' rounding grows with
-    ||h|| |t| until the result is no rotation at all, so any other t raises
-    ValueError, as does every t when ||h||_inf overflows or h is not Hermitian to ATOL.
+    Domain: a finite t with ||h||_inf * |t| <= MAX_NORM_TIME = 1e3, where the result is unitary to
+    UNITARITY_TOL, about 7.1e-15, and within about 1e-12 of exp(-i h t). Any other t raises ValueError,
+    as does every t when ||h||_inf overflows or h is not Hermitian to ATOL; text raises TypeError.
     """
     hm = np.asarray(h, dtype=complex)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
         raise ValueError("generator must be a square matrix")
-    t = float(t)
+    t = float(refuse_text(t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm or skew raises its ValueError alone
         norm, skew = float(np.linalg.norm(hm, np.inf)), float(np.max(np.abs(hm - hm.conj().T)))
         scale = max(1.0, float(np.max(np.abs(hm))))
@@ -103,7 +82,8 @@ def propagator(h, t: float) -> np.ndarray:
         )
     if skew > ATOL * scale:
         raise ValueError("generator must be Hermitian")
-    return _expm_series((-1j * t / HBAR) * hm)
+    evals, evecs = np.linalg.eigh(hm)
+    return (evecs * np.exp((-1j / HBAR) * (evals * t))) @ evecs.conj().T
 
 
 def wd_residual(h, psi) -> float:

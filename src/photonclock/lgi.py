@@ -43,6 +43,7 @@ import numpy as np
 
 from .dynamics import ClockSpec
 from .measurement import NULL_PROBABILITY, Outcome
+from .qstate import refuse_text
 
 CLASSICAL_BOUND = 2.0
 
@@ -131,7 +132,8 @@ def joint_two_time_probability(
     Domain: 0 <= t1 < t2 <= 3 * (X_MAX / omega), the engine's last time at
     x = X_MAX; anything else raises ValueError.
     """
-    return float(_pairs_table(init, float(t1), float(t2), spec)[outcome1.index][outcome2.index])
+    start, end = float(refuse_text(t1)), float(refuse_text(t2))
+    return float(_pairs_table(init, start, end, spec)[outcome1.index][outcome2.index])
 
 
 def two_time_correlator(
@@ -143,7 +145,8 @@ def two_time_correlator(
     preparation. Domain: 0 <= t1 < t2 <= 3 * (X_MAX / omega), the engine's
     last time at x = X_MAX; anything else raises ValueError.
     """
-    return float(_correlator(_pairs_table(init, float(t1), float(t2), spec)))
+    start, end = float(refuse_text(t1)), float(refuse_text(t2))
+    return float(_correlator(_pairs_table(init, start, end, spec)))
 
 
 def lgi_value(
@@ -164,7 +167,7 @@ def lgi_functional(x) -> float | np.ndarray:
     """Closed form 3 cos(2x) - cos(6x) of the equally spaced combination, for a scalar or an array.
 
     Domain: |x| <= sys.float_info.max / 2, where 2x stays finite; anything else raises ValueError."""
-    xv = np.asarray(x, dtype=float)
+    xv = np.asarray(refuse_text(x), dtype=float)
     if not (np.abs(xv) <= sys.float_info.max / 2.0).all():  # a NaN fails too
         raise ValueError("x must lie within |x| <= sys.float_info.max / 2, where 2x stays finite")
     c = np.cos(2.0 * xv)  # 2x is exact

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NullCollapseError, NumericalIntegrityError
-from .qstate import ATOL, Subsystem, tensor_product, trace_of_product, validate
+from .qstate import ATOL, Subsystem, refuse_text, tensor_product, trace_of_product, validate
 
 # outcome probabilities below this are treated as null for collapse purposes
 NULL_PROBABILITY = 1e-14
@@ -49,7 +49,7 @@ class SharpnessPair:
                 f"lambda_c shape {shapes[0]} and lambda_r shape {shapes[1]} do not broadcast"
             ) from None
         for value in (self.lambda_c, self.lambda_r):
-            lam = np.asarray(value, dtype=float)
+            lam = np.asarray(refuse_text(value), dtype=float)
             if not ((lam >= 0.0) & (lam <= 1.0)).all():  # NaN fails both comparisons
                 raise ValueError("sharpness values must lie in [0, 1]")
 

@@ -49,6 +49,14 @@ def ket(label: str) -> np.ndarray:
     return vec
 
 
+def refuse_text(value):
+    """value unchanged; TypeError if it is text (a str, bytes or an array of them), which float()
+    and numpy would parse as a number."""
+    if np.asarray(value).dtype.kind in "SU":
+        raise TypeError(f"expected a real number, not text: {value!r}")
+    return value
+
+
 def projector(state) -> np.ndarray:
     """Rank-one projector |s><s| (equivalently, the density matrix of a pure state)."""
     vec = np.asarray(state, dtype=complex)

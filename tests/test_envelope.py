@@ -25,22 +25,27 @@ from photonclock import (
     ClockSpec,
     ConditionalQuery,
     Formalism,
+    InitialCondition,
     MeasurementKind,
+    Outcome,
     SharpnessPair,
     Spin,
     StateKind,
     conditional_probability,
     entanglement_advantage,
     global_hamiltonian,
+    joint_two_time_probability,
+    lgi_functional,
     massive_graviton_dof,
     massless_graviton_dof,
     propagator,
     single_photon_hamiltonian,
     spin_multiplicity,
     stationary_state,
+    two_time_correlator,
     violates_classical_bound,
 )
-from photonclock.dynamics import MAX_NORM_TIME
+from photonclock.dynamics import MAX_NORM_TIME, UNITARITY_TOL
 
 import oracles
 
@@ -136,7 +141,7 @@ class TestClockTypes:
                 return
             u = propagator(h, t)
         assert np.isfinite(u).all()
-        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= UNITARITY_TOL
 
     def test_propagator_refuses_an_overflowing_skew(self):
         with strict(), pytest.raises(ValueError, match="Hermitian"):
@@ -253,3 +258,23 @@ def test_a_wrong_type_is_the_callers_error(function, argument):
     # the annotated type is the contract, with no isinstance check: any other type raises, never returns
     with pytest.raises((TypeError, AttributeError)):
         function(argument)
+
+
+UNIT = ClockSpec(1.0)
+TEXT_CALLS = {
+    "propagator": lambda text: propagator(single_photon_hamiltonian(UNIT), text),
+    "two_time_correlator": lambda text: two_time_correlator(0.0, text, UNIT),
+    "joint_two_time_probability": lambda text: joint_two_time_probability(
+        InitialCondition.START_H, Outcome.H, 0.0, Outcome.H, text, UNIT
+    ),
+    "lgi_functional": lgi_functional,
+    "SharpnessPair": lambda text: SharpnessPair(text, 0.5),
+}
+
+
+@pytest.mark.parametrize("text", ["1.0", b"1"], ids=["str", "bytes"])
+@pytest.mark.parametrize("call", TEXT_CALLS.values(), ids=TEXT_CALLS.keys())
+def test_a_number_as_text_raises(call, text):
+    # float() and numpy would parse the text as a number
+    with strict(), pytest.raises(TypeError, match="not text"):
+        call(text)

@@ -91,7 +91,7 @@ def kernel_table(init, t1, t2, omega):
 
 
 def scalar_chain(init, outcome1, t1, outcome2, t2, spec):
-    """The validated single-state pipeline: series propagator, Lüders collapse, Born rule."""
+    """The validated single-state pipeline: spectral propagator, Lüders collapse, Born rule."""
     sharp = unsharp_effects(1.0)
     h = single_photon_hamiltonian(spec)
     psi = propagator(h, t1) @ ket("H" if init is InitialCondition.START_H else "V")
@@ -329,19 +329,19 @@ class TestBatchedKernel:
                 chain = [scalar_chain(init, o1, a, o2, b, UNIT) for a, b in zip(first, second)]
                 assert np.max(np.abs(table[o1.index, o2.index] - chain)) <= 1e-14
 
-    def test_rotation_is_the_series_propagator(self):
+    def test_rotation_is_the_spectral_propagator(self):
         # the kernel reads U(t) = [[c, s], [-s, c]] off the cosine and sine of omega t; from a
         # phase-0 start (cosine 1, sine 0) its table holds the squared entries |<o2|U(t)|o1>|^2
         spec = ClockSpec(2.1)
         times = np.linspace(0.0, 10.0, 41)
-        series = np.array([propagator(single_photon_hamiltonian(spec), t) for t in times])
+        spectral = np.array([propagator(single_photon_hamiltonian(spec), t) for t in times])
         c, s = np.cos(spec.omega * times), np.sin(spec.omega * times)
         rotation = np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
-        assert np.max(np.abs(rotation - series)) <= 1e-14
+        assert np.max(np.abs(rotation - spectral)) <= 1e-14
         for init, o1 in zip(InitialCondition, Outcome):  # each preparation is its own first outcome
             table = _joint_table(init, 1.0, 0.0, c, s)
             for o2 in Outcome:
-                squared = np.abs(series[:, o2.index, o1.index]) ** 2
+                squared = np.abs(spectral[:, o2.index, o1.index]) ** 2
                 assert np.max(np.abs(table[o1.index][o2.index] - squared)) <= 1e-14
 
     @given(first_times, gaps, gaps, gaps, st.floats(min_value=0.1, max_value=10.0), preparations)

@@ -1,4 +1,4 @@
-"""The closed-form oracles: standard library only, and anchored to the paper's literal values."""
+"""The closed-form oracles, anchored to the paper's literal values, and the import rule every file keeps."""
 
 import ast
 import decimal
@@ -10,11 +10,32 @@ from pathlib import Path
 import oracles
 
 
-def test_imports_only_the_standard_library():
-    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+REPO = Path(__file__).resolve().parent.parent
+STDLIB = set(sys.stdlib_module_names)
+# numpy is the one runtime dependency; CI installs only numpy, pytest and hypothesis
+TEST_IMPORTS = STDLIB | {"numpy", "pytest", "hypothesis", "photonclock"}
+TEST_IMPORTS |= {path.stem for path in (REPO / "tests").glob("*.py")}
+
+
+def _imports(path):
+    """The top-level name of every absolute import in a file; relative imports stay in their package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert names and {name.split(".")[0] for name in names} <= sys.stdlib_module_names
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.split(".")[0] for name in names}
+
+
+def test_imports_follow_the_dependency_rule():
+    # the oracles stand on the standard library alone, src/ adds numpy, and tests/ and scripts/ add
+    # pytest, hypothesis, the package and the tests' own modules
+    rules = [(Path(oracles.__file__), STDLIB)]
+    rules += [(path, STDLIB | {"numpy"}) for path in sorted((REPO / "src").rglob("*.py"))]
+    rules += [(path, TEST_IMPORTS) for folder in ("tests", "scripts") for path in sorted((REPO / folder).glob("*.py"))]
+    assert len(rules) > 20
+    stray = [
+        f"{path.relative_to(REPO)} imports {name}" for path, allowed in rules for name in sorted(_imports(path) - allowed)
+    ]
+    assert not stray, "; ".join(stray)
 
 
 def test_conditionals_hold_the_paper_values():
