@@ -8,7 +8,9 @@ behind the Leggett-Garg violation of the clock photon, the sharp and unsharp
 conditional probabilities that separate the entangled preparation from the
 un-entangled one, and the bookkeeping for graviton polarization counts.
 
-All functions are pure and never mutate their inputs.
+All functions are pure and never mutate their inputs. The sequential oracle
+chain behind the LGI kernel (propagator, luders_collapse, born_probability and
+NullCollapseError) is not re-exported here; it is reached at its module path.
 """
 
 from .conditional import (
@@ -24,11 +26,10 @@ from .dof import Spin, massive_graviton_dof, massless_graviton_dof, spin_multipl
 from .dynamics import (
     ClockSpec,
     global_hamiltonian,
-    propagator,
     single_photon_hamiltonian,
     wd_residual,
 )
-from .errors import DegenerateConditioningError, NullCollapseError, NumericalIntegrityError
+from .errors import DegenerateConditioningError, NumericalIntegrityError
 from .lgi import (
     InitialCondition,
     LgiSchedule,
@@ -40,14 +41,7 @@ from .lgi import (
     two_time_correlator,
     violates_classical_bound,
 )
-from .measurement import (
-    Outcome,
-    SharpnessPair,
-    born_probability,
-    joint_effect,
-    luders_collapse,
-    unsharp_effects,
-)
+from .measurement import Outcome, SharpnessPair, joint_effect, unsharp_effects
 
 __version__ = "0.1.0"
 
@@ -59,13 +53,11 @@ __all__ = [
     "InitialCondition",
     "LgiSchedule",
     "MeasurementKind",
-    "NullCollapseError",
     "NumericalIntegrityError",
     "Outcome",
     "SharpnessPair",
     "Spin",
     "StateKind",
-    "born_probability",
     "conditional_probability",
     "entanglement_advantage",
     "global_hamiltonian",
@@ -75,10 +67,8 @@ __all__ = [
     "lgi_functional_engine",
     "lgi_maximize",
     "lgi_value",
-    "luders_collapse",
     "massive_graviton_dof",
     "massless_graviton_dof",
-    "propagator",
     "single_photon_hamiltonian",
     "spin_multiplicity",
     "stationary_state",

@@ -41,7 +41,7 @@ from .conditional import (
     stationary_state,
 )
 from .dof import Spin, massive_graviton_dof, massless_graviton_dof, spin_multiplicity
-from .dynamics import ClockSpec, global_hamiltonian, wd_residual
+from .dynamics import UNIT_CLOCK, global_hamiltonian, wd_residual
 from .errors import NumericalIntegrityError
 from .lgi import X_MAX as _X_MAX
 from .lgi import lgi_functional, lgi_functional_engine, lgi_maximize, violates_classical_bound
@@ -433,12 +433,11 @@ def cmd_lgi_scan(args: argparse.Namespace) -> int:
 def _conditional_columns(lam_c: np.ndarray, lam_r: np.ndarray) -> np.ndarray:
     """The stationary and the time-averaged unsharp conditional at the sharpness points,
     stacked: one call per preparation, one comparison against the closed forms. Both are
-    evaluated on the unit clock, ClockSpec(1.0): no conditional reads the frequency."""
-    spec = ClockSpec(1.0)
+    evaluated on the unit clock, UNIT_CLOCK: no conditional reads the frequency."""
     pair = SharpnessPair(lam_c, lam_r)
     kinds = (StateKind.STATIONARY, StateKind.TIME_DEPENDENT)
     queries = [ConditionalQuery(kind, MeasurementKind.UNSHARP, pair) for kind in kinds]
-    values = np.array([conditional_probability(query, spec) for query in queries])
+    values = np.array([conditional_probability(query, UNIT_CLOCK) for query in queries])
     product = lam_c * lam_r
     closed = np.array([(1.0 + product) / 2.0, (2.0 + product) / 4.0])
     where = lambda index: f"lambda_c={float(lam_c[index[-1]])!r}, lambda_r={float(lam_r[index[-1]])!r}"
@@ -510,18 +509,18 @@ def _check(name: str, value, expected, tol: float | None = None) -> dict:
     return {"name": name, "value": _native(value), "target": target, "pass": bool(passed)}
 
 
-def _wd_check(spec: ClockSpec) -> dict:
+def _wd_check() -> dict:
     # the residual in units of hbar*omega: the generator is evaluated at unit frequency
-    residual = wd_residual(global_hamiltonian(ClockSpec(1.0)), stationary_state(spec))
+    residual = wd_residual(global_hamiltonian(UNIT_CLOCK), stationary_state(UNIT_CLOCK))
     return _check("wd_residual", residual, None, WD_TARGET)
 
 
-def _report_checks(spec: ClockSpec) -> list[dict]:
-    p_st = conditional_probability(ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP), spec)
-    p_td = conditional_probability(ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.SHARP), spec)
+def _report_checks() -> list[dict]:
+    p_st = conditional_probability(ConditionalQuery(StateKind.STATIONARY, MeasurementKind.SHARP), UNIT_CLOCK)
+    p_td = conditional_probability(ConditionalQuery(StateKind.TIME_DEPENDENT, MeasurementKind.SHARP), UNIT_CLOCK)
     x_star, c_max = lgi_maximize(0.0, math.pi / 2.0)
     checks = [
-        _wd_check(spec),
+        _wd_check(),
         _check("P_sharp_stationary", p_st, 1.0, 1e-12),
         _check("P_sharp_timeavg", p_td, 0.75, 1e-10),
         _check("C_max", c_max, C_MAX_EXPECTED, 1e-10),
@@ -559,11 +558,11 @@ def _finish_checks(command: str, checks: list[dict], args: argparse.Namespace) -
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    return _finish_checks("report", _report_checks(ClockSpec(args.omega)), args)
+    return _finish_checks("report", _report_checks(), args)
 
 
 def cmd_wd_check(args: argparse.Namespace) -> int:
-    return _finish_checks("wd-check", [_wd_check(ClockSpec(args.omega))], args)
+    return _finish_checks("wd-check", [_wd_check()], args)
 
 
 # --- argument handling ------------------------------------------------------

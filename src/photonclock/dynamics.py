@@ -42,6 +42,10 @@ class ClockSpec:
             raise ValueError("omega must be finite and positive")
 
 
+# the clock every dimensionless quantity is evaluated on
+UNIT_CLOCK = ClockSpec(1.0)
+
+
 def single_photon_hamiltonian(spec: ClockSpec) -> np.ndarray:
     """i*hbar*omega*(|H><V| - |V><H|), the generator rotating H into -V.
     Domain: any ClockSpec, whose omega is finite and positive, so every entry is finite;
@@ -68,7 +72,7 @@ def propagator(h, t: float) -> np.ndarray:
     UNITARITY_TOL, about 7.1e-15, and within about 1e-12 of exp(-i h t). Any other t raises ValueError,
     as does every t when ||h||_inf overflows or h is not Hermitian to ATOL; text raises TypeError.
     """
-    hm = np.asarray(h, dtype=complex)
+    hm = np.asarray(refuse_text(h), dtype=complex)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
         raise ValueError("generator must be a square matrix")
     t = float(refuse_text(t))
@@ -90,8 +94,8 @@ def wd_residual(h, psi) -> float:
     """Euclidean norm of h @ psi; zero iff psi is a static (zero-energy) state. Domain: finite
     entries and a residual <= sys.float_info.max; anything else raises ValueError. h and psi
     are scaled by exact powers of two before the product, so that no step overflows."""
-    hm = np.asarray(h, dtype=complex)
-    vec = np.asarray(psi, dtype=complex)
+    hm = np.asarray(refuse_text(h), dtype=complex)
+    vec = np.asarray(refuse_text(psi), dtype=complex)
     if hm.ndim != 2 or vec.ndim != 1 or hm.shape[1] != vec.shape[0]:
         raise ValueError("dimension mismatch between operator and state")
     if not (np.isfinite(hm).all() and np.isfinite(vec).all()):
@@ -111,6 +115,6 @@ def product_state_phase(phase) -> np.ndarray:
     Clock factor cos|H> - sin|V>, system factor cos|V> + sin|H>. Accepts a
     scalar phase or an array of phases (amplitudes land on the last axis).
     """
-    ph = np.asarray(phase, dtype=float)
+    ph = np.asarray(refuse_text(phase), dtype=float)
     c, s = np.cos(ph), np.sin(ph)
     return np.stack([s * c, c * c, -s * s, -s * c], axis=-1).astype(complex)

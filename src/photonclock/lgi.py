@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClockSpec
+from .dynamics import UNIT_CLOCK, ClockSpec
 from .measurement import NULL_PROBABILITY, Outcome
 from .qstate import refuse_text
 
@@ -51,8 +51,6 @@ CLASSICAL_BOUND = 2.0
 # ulp(3x), and its deviation from the closed form grows with x (9.3e-10 on [1e5, 1e6]);
 # its last time 3 * (x / omega) bounds every schedule route: 0 <= start < end <= 3 * (X_MAX / omega)
 X_MAX = 1e4
-# the engine's default clock: the combination is dimensionless
-_UNIT_CLOCK = ClockSpec(1.0)
 
 
 class InitialCondition(enum.IntEnum):
@@ -191,7 +189,7 @@ def lgi_functional_engine(
     frequency clock, which makes the result independent of any configured
     omega down to the last bit.
     """
-    spec = spec if spec is not None else _UNIT_CLOCK
+    spec = spec if spec is not None else UNIT_CLOCK
     with np.errstate(over="ignore"):  # an overflowing time step raises the ValueError alone
         dt = np.divide(x, spec.omega)
         dt3 = 3.0 * dt

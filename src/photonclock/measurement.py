@@ -99,10 +99,10 @@ def born_probability(rho, effect) -> float:
 
     A state with a NaN or infinite entry raises ValueError.
     """
-    effect_m = np.asarray(effect, dtype=complex)
+    effect_m = np.asarray(refuse_text(effect), dtype=complex)
     if not validate(effect_m, "effect").ok:
         raise ValueError("not a valid effect (Hermitian with spectrum in [0, 1])")
-    rho_m = np.asarray(rho, dtype=complex)
+    rho_m = np.asarray(refuse_text(rho), dtype=complex)
     if not np.isfinite(rho_m).all():  # a NaN would pass every bound check below
         raise ValueError("state must have finite entries")
     raw = trace_of_product(effect_m, rho_m)
@@ -126,8 +126,8 @@ def luders_collapse(state, proj) -> tuple[np.ndarray, float]:
     idempotent to ATOL; anything else raises ValueError. So the outcome
     probability |proj @ state|^2 passes 1 by a few ATOL at most.
     """
-    pm = np.asarray(proj, dtype=complex)
-    vec = np.asarray(state, dtype=complex)
+    pm = np.asarray(refuse_text(proj), dtype=complex)
+    vec = np.asarray(refuse_text(state), dtype=complex)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1] or pm.shape[1] != vec.shape[0]:
         raise ValueError("projector and state dimensions do not match")
     for name, m in (("state", vec), ("projector", pm)):

@@ -9,8 +9,10 @@ Conventions used everywhere in this package:
 
 States are plain complex numpy vectors, operators are plain complex square
 matrices. Functions never mutate their arguments; everything here is pure.
+An array argument that holds text raises TypeError (:func:`refuse_text`).
 Validation is split off into :func:`validate`, which diagnoses rather than
-raises, so that deliberately broken inputs can be inspected in tests.
+raises: the oracle chain checks its states and effects with it, and tests
+inspect deliberately broken inputs with it.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ def refuse_text(value):
     """value unchanged; TypeError if it is text (a str, bytes or an array of them), which float()
     and numpy would parse as a number."""
     if np.asarray(value).dtype.kind in "SU":
-        raise TypeError(f"expected a real number, not text: {value!r}")
+        raise TypeError(f"expected numbers, not text: {value!r}")
     return value
 
 
 def projector(state) -> np.ndarray:
     """Rank-one projector |s><s| (equivalently, the density matrix of a pure state)."""
-    vec = np.asarray(state, dtype=complex)
+    vec = np.asarray(refuse_text(state), dtype=complex)
     if vec.ndim != 1:
         raise ValueError("projector expects a state vector")
     return np.outer(vec, vec.conj())
@@ -67,8 +69,8 @@ def projector(state) -> np.ndarray:
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two vectors or two square matrices, first factor slow."""
-    am = np.asarray(a, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
+    am = np.asarray(refuse_text(a), dtype=complex)
+    bm = np.asarray(refuse_text(b), dtype=complex)
     if am.ndim != bm.ndim or am.ndim not in (1, 2):
         raise ValueError("tensor_product needs two vectors or two square matrices")
     if am.ndim == 2 and (am.shape[0] != am.shape[1] or bm.shape[0] != bm.shape[1]):
@@ -78,8 +80,8 @@ def tensor_product(a, b) -> np.ndarray:
 
 def trace_of_product(a, rho) -> complex:
     """Tr[a rho] for square matrices of matching dimension."""
-    am = np.asarray(a, dtype=complex)
-    rm = np.asarray(rho, dtype=complex)
+    am = np.asarray(refuse_text(a), dtype=complex)
+    rm = np.asarray(refuse_text(rho), dtype=complex)
     if am.ndim != 2 or am.shape != rm.shape or am.shape[0] != am.shape[1]:
         raise ValueError("trace_of_product needs two square matrices of equal dimension")
     return complex(np.trace(am @ rm))
@@ -102,14 +104,11 @@ def _eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
 def validate(x, predicate: str) -> ValidationResult:
     """Diagnose ``x`` against a named predicate; never raises on bad numbers.
 
-    Predicates: ``finite``, ``unit-norm`` (vectors), and for square matrices
-    ``hermitian``, ``trace-one``, ``psd``, ``unitary``, ``effect``.
+    Predicates: ``unit-norm`` (vectors), and for square matrices
+    ``hermitian``, ``trace-one``, ``psd``, ``effect``.
     Returns whether the predicate holds and the worst violation magnitude.
     """
-    arr = np.asarray(x, dtype=complex)
-    if predicate == "finite":
-        bad = ~np.isfinite(arr.real) | ~np.isfinite(arr.imag)
-        return ValidationResult(not bad.any(), float("inf") if bad.any() else 0.0)
+    arr = np.asarray(refuse_text(x), dtype=complex)
     if predicate == "unit-norm":
         if arr.ndim != 1:
             raise ValueError("unit-norm applies to vectors")
@@ -127,9 +126,6 @@ def validate(x, predicate: str) -> ValidationResult:
     if predicate == "psd":
         violation = max(_hermiticity_violation(arr), max(0.0, -float(_eigenvalues_hermitian(arr)[0])))
         return ValidationResult(violation <= EIGEN_ATOL, violation)
-    if predicate == "unitary":
-        violation = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
-        return ValidationResult(violation <= ATOL, violation)
     if predicate == "effect":
         eig = _eigenvalues_hermitian(arr)
         violation = max(

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from photonclock import (
     ClockSpec,
     global_hamiltonian,
-    propagator,
     single_photon_hamiltonian,
     wd_residual,
 )
-from photonclock.dynamics import MAX_NORM_TIME, UNITARITY_TOL, product_state_phase
+from photonclock.dynamics import MAX_NORM_TIME, UNITARITY_TOL, product_state_phase, propagator
 from photonclock.qstate import ket
 
 UNIT_ROUNDOFF = 2.0**-53

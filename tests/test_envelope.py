@@ -1,4 +1,5 @@
-"""The whole input envelope of each public name that the module tests do not sweep.
+"""The whole input envelope of each public name, and of the oracle chain reached at its module
+path, that the module tests do not sweep.
 
 Every draw covers the documented domain and a margin outside it: signed zeros,
 subnormals, the largest double, infinities and NaN, and ints up to 2**64 for
@@ -38,14 +39,16 @@ from photonclock import (
     lgi_functional,
     massive_graviton_dof,
     massless_graviton_dof,
-    propagator,
     single_photon_hamiltonian,
     spin_multiplicity,
     stationary_state,
     two_time_correlator,
     violates_classical_bound,
+    wd_residual,
 )
-from photonclock.dynamics import MAX_NORM_TIME, UNITARITY_TOL
+from photonclock.dynamics import MAX_NORM_TIME, UNITARITY_TOL, product_state_phase, propagator
+from photonclock.measurement import born_probability, luders_collapse
+from photonclock.qstate import projector, tensor_product, trace_of_product, validate
 
 import oracles
 
@@ -269,6 +272,16 @@ TEXT_CALLS = {
     ),
     "lgi_functional": lgi_functional,
     "SharpnessPair": lambda text: SharpnessPair(text, 0.5),
+    # text inside an array argument, which np.asarray(..., dtype=complex) would parse too
+    "propagator_generator": lambda text: propagator([[0, text], [text, 0]], 1.0),
+    "wd_residual": lambda text: wd_residual(global_hamiltonian(UNIT), [text, 0, 0, 0]),
+    "product_state_phase": lambda text: product_state_phase([text]),
+    "projector": lambda text: projector([text, 0]),
+    "tensor_product": lambda text: tensor_product([text, 0], [1, 0]),
+    "trace_of_product": lambda text: trace_of_product([[text, 0], [0, text]], np.eye(2)),
+    "validate": lambda text: validate([text, 0], "unit-norm"),
+    "born_probability": lambda text: born_probability([[text, 0], [0, 0]], np.eye(2) / 2),
+    "luders_collapse": lambda text: luders_collapse([text, 0], np.diag([1.0, 0.0])),
 }
 
 

@@ -15,22 +15,21 @@ from photonclock import (
     ClockSpec,
     InitialCondition,
     LgiSchedule,
-    NullCollapseError,
     Outcome,
-    born_probability,
     joint_two_time_probability,
     lgi_functional,
     lgi_functional_engine,
     lgi_maximize,
     lgi_value,
-    luders_collapse,
-    propagator,
     single_photon_hamiltonian,
     two_time_correlator,
     unsharp_effects,
     violates_classical_bound,
 )
+from photonclock.dynamics import propagator
+from photonclock.errors import NullCollapseError
 from photonclock.lgi import X_MAX, _joint_table
+from photonclock.measurement import born_probability, luders_collapse
 from photonclock.qstate import ket, projector
 
 import oracles

@@ -9,17 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from photonclock import (
-    NullCollapseError,
-    NumericalIntegrityError,
-    Outcome,
-    SharpnessPair,
-    born_probability,
-    joint_effect,
-    luders_collapse,
-    unsharp_effects,
-)
-from photonclock.measurement import dichotomic_observable
+from photonclock import NumericalIntegrityError, Outcome, SharpnessPair, joint_effect, unsharp_effects
+from photonclock.errors import NullCollapseError
+from photonclock.measurement import born_probability, dichotomic_observable, luders_collapse
 from photonclock.qstate import ATOL, Subsystem, ket, projector, tensor_product, validate
 
 sharpness = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

@@ -139,11 +139,6 @@ class TestValidate:
         # violation is reported in squared-norm units: |2 - 1|
         assert bad.violation == pytest.approx(1.0, abs=1e-12)
 
-    def test_finite(self):
-        assert validate(np.array([1.0, 2.0]), "finite").ok
-        assert not validate(np.array([1.0, np.inf]), "finite").ok
-        assert not validate(np.array([np.nan, 0.0]), "finite").ok
-
     def test_hermitian(self):
         assert validate(np.array([[0, 1j], [-1j, 0]]), "hermitian").ok
         res = validate(np.array([[0, 1], [0, 0]], dtype=complex), "hermitian")
@@ -158,15 +153,6 @@ class TestValidate:
     def test_psd(self):
         assert validate(projector(_normalize([1, -1j])), "psd").ok
         assert not validate(np.diag([1.0, -0.2]).astype(complex), "psd").ok
-
-    def test_unitary(self):
-        theta = 0.37
-        u = np.array(
-            [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]],
-            dtype=complex,
-        )
-        assert validate(u, "unitary").ok
-        assert not validate(2.0 * u, "unitary").ok
 
     def test_effect(self):
         assert validate(np.diag([0.9, 0.25]).astype(complex), "effect").ok
